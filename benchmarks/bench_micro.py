@@ -379,46 +379,6 @@ def test_matrix_build_speedup(record_json):
     assert rows["64"]["speedup"] >= 2.0
 
 
-def test_parallel_cluster_execution(record_json):
-    """Serial vs 2-worker cluster execution on a multi-cluster DTW join.
-
-    The contract is determinism first: identical pairs and identical
-    simulated page reads.  Wall-clock speedup depends on the host's core
-    count (this container may expose a single CPU, capping it at ~1x);
-    the measured factor is recorded either way.
-    """
-    rng = np.random.default_rng(3)
-    seq = rng.normal(size=2_000 if QUICK else 8_000).cumsum()
-    ds = IndexedDataset.from_time_series(
-        seq, window_length=24, windows_per_page=64, dtw_band=3
-    )
-
-    serial_s, serial = _best_of(
-        lambda: join(ds, ds, 1.0, method="sc", buffer_pages=16, workers=1)
-    )
-    parallel_s, parallel = _best_of(
-        lambda: join(ds, ds, 1.0, method="sc", buffer_pages=16, workers=2)
-    )
-    assert parallel.pairs == serial.pairs
-    assert parallel.report.page_reads == serial.report.page_reads
-    assert parallel.report.seeks == serial.report.seeks
-    record_json(
-        "parallel_cluster_execution",
-        {
-            "windows": int(ds.num_objects),
-            "clusters": serial.report.extra["num_clusters"],
-            "workers": 2,
-            "cpu_count": os.cpu_count(),
-            "serial_seconds": serial_s,
-            "parallel_seconds": parallel_s,
-            "speedup": serial_s / parallel_s,
-            "page_reads_serial": serial.report.page_reads,
-            "page_reads_parallel": parallel.report.page_reads,
-            "result_pairs": serial.num_pairs,
-        },
-    )
-
-
 # -- end-to-end join: mega-batch vs per-pair execution (ISSUE 5) -------------------
 #
 # Full join() wall clock on Figure-10/11-style configs, cluster-granular
@@ -428,14 +388,14 @@ def test_parallel_cluster_execution(record_json):
 # the only difference the bench can see is wall clock.
 
 
-def _join_e2e_runs(r, s, epsilon, buffer_pages, workers, batch_pairs, repeats):
+def _join_e2e_runs(r, s, epsilon, buffer_pages, batch_pairs, repeats):
     """Best-of-N wall clock and execution-stage seconds, plus one result."""
     best_total, best_exec, result = float("inf"), float("inf"), None
     for _ in range(repeats):
         t0 = time.perf_counter()
         result = join(
             r, s, epsilon, method="sc", buffer_pages=buffer_pages,
-            workers=workers, batch_pairs=batch_pairs,
+            batch_pairs=batch_pairs,
         )
         best_total = min(best_total, time.perf_counter() - t0)
         best_exec = min(
@@ -444,18 +404,16 @@ def _join_e2e_runs(r, s, epsilon, buffer_pages, workers, batch_pairs, repeats):
     return best_total, best_exec, result
 
 
-def _join_e2e_row(r, s, epsilon, buffer_pages, workers, repeats):
-    per_s, per_exec, per = _join_e2e_runs(
-        r, s, epsilon, buffer_pages, workers, 1, repeats
-    )
+def _join_e2e_row(r, s, epsilon, buffer_pages, repeats):
+    per_s, per_exec, per = _join_e2e_runs(r, s, epsilon, buffer_pages, 1, repeats)
     mega_s, mega_exec, mega = _join_e2e_runs(
-        r, s, epsilon, buffer_pages, workers, None, repeats
+        r, s, epsilon, buffer_pages, None, repeats
     )
     assert mega.pairs == per.pairs
     assert mega.report.page_reads == per.report.page_reads
     assert mega.report.seeks == per.report.seeks
     return {
-        "workers": workers,
+        "workers": 1,
         "per_pair_seconds": per_s,
         "megabatch_seconds": mega_s,
         "speedup": per_s / mega_s,
@@ -482,14 +440,11 @@ def test_join_e2e_speedup(record_json):
         r.num_pages, [25 / PAPER_PAGES["lbeach"]], minimum=SPATIAL_BUFFER
     )[0]
     spatial_eps = 2 * SPATIAL_EPSILON
-    spatial = {
-        f"workers_{w}": _join_e2e_row(r, s, spatial_eps, buffer_pages, w, repeats)
-        for w in (1, 2)
-    }
+    spatial_row = _join_e2e_row(r, s, spatial_eps, buffer_pages, repeats)
 
     genome = hchr18(0.005, seed=0)
     genome_row = _join_e2e_row(
-        genome, genome, GENOME_EPSILON, GENOME_BUFFER, 1, repeats
+        genome, genome, GENOME_EPSILON, GENOME_BUFFER, repeats
     )
 
     record_json(
@@ -499,7 +454,7 @@ def test_join_e2e_speedup(record_json):
                 "pages": [int(r.num_pages), int(s.num_pages)],
                 "buffer_pages": int(buffer_pages),
                 "epsilon": spatial_eps,
-                **spatial,
+                "workers_1": spatial_row,
             },
             "genome": {
                 "pages": int(genome.num_pages),
@@ -509,8 +464,7 @@ def test_join_e2e_speedup(record_json):
             },
         },
     )
-    assert spatial["workers_1"]["speedup"] >= (2.0 if QUICK else 3.0)
-    assert spatial["workers_2"]["speedup"] >= (1.5 if QUICK else 2.0)
+    assert spatial_row["speedup"] >= (2.0 if QUICK else 3.0)
     assert genome_row["speedup"] >= (1.0 if QUICK else 1.2)
 
 
@@ -588,16 +542,13 @@ def test_sharded_join_speedup(record_json):
 
 # -- sketch prefilter cascade (ISSUE 7) --------------------------------------------
 #
-# Exact mode only reorders each cluster's cascade (pairs and every
-# simulated counter bit-identical — pinned by
-# tests/core/test_prefilter_equivalence.py), so its wall-clock overhead
-# over prefilter=None must stay small.  Approximate mode unmarks cells
-# whose estimated collision mass is negligible; the headline gate is the
-# genome self join (192-symbol windows, d >= 16): >= 1.5x end to end at
-# measured recall >= the 0.99 target.  The landsat and spatial rows are
-# recorded honestly: their pages are index-localised, so the marginal
-# (per-projection) sketches can rarely rule a cell out and the cascade
-# mostly pays its scoring cost for reordering alone.
+# The prefilter unmarks cells whose estimated collision mass is
+# negligible; the headline gate is the genome self join (192-symbol
+# windows, d >= 16): >= 1.5x end to end at measured recall >= the 0.99
+# target.  The landsat and spatial rows are recorded honestly: their
+# pages are index-localised, so the marginal (per-projection) sketches
+# can rarely rule a cell out and the cascade mostly pays its scoring
+# cost.
 
 
 def _prefilter_row(r, s, eps, buf, cost_model, cache, repeats):
@@ -613,16 +564,11 @@ def _prefilter_row(r, s, eps, buf, cost_model, cache, repeats):
     approx_config = PrefilterConfig(recall_target=0.99)
     run(approx_config)  # warm the matrix + sketch caches for every arm
     base_s, base = _best_of(lambda: run(None), repeats)
-    exact_s, exact = _best_of(lambda: run("exact"), repeats)
     approx_s, approx = _best_of(lambda: run(approx_config), repeats)
-    assert exact.pairs == base.pairs
-    assert exact.report.page_reads == base.report.page_reads
     recall = measured_recall(base, approx)
     info = approx.report.extra["prefilter"]
     return {
         "base_seconds": base_s,
-        "exact_seconds": exact_s,
-        "exact_overhead_pct": (exact_s - base_s) / base_s * 100.0,
         "approximate_seconds": approx_s,
         "speedup": base_s / approx_s,
         "recall_target": 0.99,
@@ -674,7 +620,6 @@ def test_prefilter_cascade(record_json, tmp_path):
         assert row["recall_measured"] >= 0.99
     # Headline perf gates on the genome config (d >= 16, execution-bound).
     assert genome_row["speedup"] >= (1.2 if QUICK else 1.5)
-    assert genome_row["exact_overhead_pct"] <= (10.0 if QUICK else 2.0)
 
 
 # -- observability overhead (ISSUE 4) ----------------------------------------------

@@ -162,23 +162,22 @@ def _add_join(subcommands) -> None:
                      help="trace file format: JSONL events or Chrome "
                           "trace-event JSON (open in Perfetto)")
     cmd.add_argument("--workers", type=int, default=1,
-                     help="parallel workers for cluster execution; threads "
-                          "unless --shard-strategy is given")
+                     help="worker processes for cluster execution "
+                          "(sc/rand-sc/cc methods); 1 runs serially. Results "
+                          "and simulated I/O are identical to serial")
     cmd.add_argument("--shard-strategy", default=None,
                      choices=["affinity", "chunk", "roundrobin"],
-                     help="partition clusters across worker *processes* over "
-                          "shared-memory page blocks (sc/rand-sc/cc methods); "
-                          "results and simulated I/O are identical to serial")
+                     help="how clusters are partitioned across the worker "
+                          "processes over shared-memory page blocks "
+                          "(default: affinity when --workers > 1)")
     cmd.add_argument("--prefilter", default=None,
-                     choices=["exact", "approximate"],
-                     help="sketch prefilter cascade: 'exact' only reorders "
-                          "each cluster's page pairs by estimated yield "
-                          "(results bit-identical); 'approximate' also "
-                          "unmarks cells whose estimated collision mass is "
-                          "negligible, calibrated to --recall-target")
+                     choices=["approximate"],
+                     help="sketch prefilter cascade: unmark cells whose "
+                          "estimated collision mass is negligible, "
+                          "calibrated to --recall-target")
     cmd.add_argument("--kernel-backend", default=None,
-                     help="refinement kernel substrate (numpy, wavefront, "
-                          "numba when installed); default: the "
+                     help="refinement kernel substrate (numpy or "
+                          "wavefront); default: the "
                           "REPRO_KERNEL_BACKEND env var, then 'wavefront'. "
                           "All backends are bit-identical")
     cmd.add_argument("--recall-target", type=float, default=0.99,
@@ -231,9 +230,7 @@ def _run_join(args) -> int:
     if args.prefilter is not None:
         from repro import PrefilterConfig
 
-        prefilter = PrefilterConfig(
-            mode=args.prefilter, recall_target=args.recall_target
-        )
+        prefilter = PrefilterConfig(recall_target=args.recall_target)
 
     from repro.errors import ConfigError
 

@@ -21,41 +21,26 @@ pairs (order included), comparisons, modeled CPU, page reads/reuse,
 buffer hits and Lemma audits; only kernel *invocation* counts differ
 (``repro.obs.recorder.BATCHING_VARIANT_COUNTERS``).
 
-Parallelism comes in two flavours, both preserving bit-identical
-results and accounting:
-
-* **Threads** (``execute_clusters(..., workers=k)``): the CPU half of
-  step 2 is dispatched to a thread pool — clusters are independent
-  units of work (each owns its buffer-resident pages), so their
-  page-pair joins run concurrently while the main thread walks the
-  schedule.  All buffer and disk traffic stays on the main thread in
-  exactly the serial order — the simulated I/O counts (Lemma 1/2
-  accounting) are identical to a serial run by construction — and
-  per-worker results are merged in schedule order, so the outcome
-  (pairs list included) is deterministic and equal to the serial one.
-  The GIL serialises the Python-side scatter/merge, so threads are the
-  *compatibility fallback* (no picklable state needed, works with any
-  joiner); for actual multi-core speedup use the process-sharded path.
-* **Processes** (:func:`execute_clusters_sharded`): the scheduled
-  cluster list is partitioned into shard-local sets
-  (:func:`repro.core.planner.plan_shards`), the datasets' backing
-  arrays are published once through shared memory
-  (:mod:`repro.storage.shm`) and per-shard worker processes run the
-  mega-batch cascades against zero-copy views with their own
-  recorders.  The separation that makes this exact: joiners read
-  objects through the datasets' columnar page views — never through
-  the buffer pool — so the pool/disk *simulation* is pure accounting
-  and is replayed by the parent in full serial schedule order while
-  the workers compute.  Counters, audits and the merged pairs list are
-  therefore bit-identical to serial by the same argument as the thread
-  path; per-shard staging deltas are additionally attributed to
-  ``executor.shard.<k>.*`` counters whose sums equal the serial totals
-  exactly.  See ``docs/execution_modes.md`` for the decision table.
+Parallelism comes from worker *processes*
+(:func:`execute_clusters_sharded`): the scheduled cluster list is
+partitioned into shard-local sets
+(:func:`repro.core.planner.plan_shards`), the datasets' backing arrays
+are published once through shared memory (:mod:`repro.storage.shm`)
+and per-shard worker processes run the mega-batch cascades against
+zero-copy views with their own recorders.  The separation that makes
+this exact: joiners read objects through the datasets' columnar page
+views — never through the buffer pool — so the pool/disk *simulation*
+is pure accounting and is replayed by the parent in full serial
+schedule order while the workers compute, and per-cluster results are
+merged back in schedule order.  Counters, audits and the merged pairs
+list are therefore bit-identical to serial; per-shard staging deltas
+are additionally attributed to ``executor.shard.<k>.*`` counters whose
+sums equal the serial totals exactly.  See ``docs/execution_modes.md``
+for the decision table.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -78,9 +63,6 @@ PagePairJoin = Callable[
     [int, int, object, object],
     Tuple[List[Tuple[int, int]], int, int, float],
 ]
-
-# One cluster's worth of dispatched work: (row, col, r_payload, s_payload).
-_ClusterWork = List[Tuple[int, int, object, object]]
 
 
 @dataclass
@@ -109,7 +91,6 @@ def execute_clusters(
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
     page_pair_join: PagePairJoin,
-    workers: int = 1,
     recorder: Recorder = NULL_RECORDER,
     batch_pairs: Optional[int] = None,
     auditor: Optional[LemmaAuditor] = None,
@@ -121,39 +102,22 @@ def execute_clusters(
     run); by default one is created whenever the recorder records.
 
     ``batch_pairs`` sets the join granularity: ``None`` (default) joins
-    every marked pair of a cluster in one mega-batch cascade, ``1``
-    restores the classic per-page-pair path, and ``k > 1`` splits each
-    cluster's entry list into mega-batches of at most ``k`` pairs.  The
-    granularity never changes the result or the simulated accounting
-    (see the module docstring); joiners without cluster support silently
-    run per pair.
-
-    ``workers > 1`` parallelises the joins across a *thread* pool (one
-    task per cluster) without changing any simulated I/O count or the
-    result; see the module docstring for the determinism argument.
-    Threads are the compatibility fallback — they work with any joiner
-    and any platform but the GIL caps the speedup; for process-level
-    parallelism use :func:`execute_clusters_sharded` (or
-    ``join(..., shard_strategy=...)``), which validates its worker
-    count against the platform's start methods up front and raises a
-    clear error instead of hanging when ``workers > os.cpu_count()``
-    meets a fork-less platform (see
-    :func:`repro.core.sharding.resolve_start_method`).
+    every marked pair of a cluster in one mega-batch cascade and ``1``
+    selects the classic per-page-pair path; any other value raises
+    ``ValueError``.  The granularity never changes the result or the
+    simulated accounting (see the module docstring); joiners without
+    cluster support silently run per pair.  For process-level
+    parallelism use :func:`execute_clusters_sharded`.
 
     With a recording ``recorder``, each cluster is additionally audited
     against the paper's Lemma 1/2 read bounds: the disk-transfer delta
     observed while staging and joining the cluster must not exceed
     ``min(e + min(r, c), r + c)`` (see :class:`~repro.obs.audit.LemmaAuditor`).
-    The audit reads the disk counters on the main thread only, so it is
-    identical under serial and parallel execution.
 
     Raises ``ValueError`` if any cluster does not fit the pool's available
     frames (Lemma 2's precondition — clustering must have enforced it).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if batch_pairs is not None and batch_pairs < 1:
-        raise ValueError(f"batch_pairs must be >= 1 or None, got {batch_pairs}")
+    _check_batch_pairs(batch_pairs)
     pool.attach(r_dataset)
     pool.attach(s_dataset)
     outcome = ExecutionOutcome()
@@ -162,76 +126,26 @@ def execute_clusters(
     if auditor is None and recorder.enabled:
         auditor = LemmaAuditor(recorder)
     disk_stats = pool.disk.stats
-    use_megabatch = batch_pairs != 1 and getattr(
+    use_megabatch = batch_pairs is None and getattr(
         page_pair_join, "supports_megabatch", False
     )
-    if workers == 1:
-        for index, cluster in enumerate(ordered_clusters):
-            transfers_before = disk_stats.transfers
-            with recorder.span("execute.cluster"):
-                if use_megabatch:
-                    _stage_cluster_pinned(
-                        cluster, pool, r_id, s_id, outcome
-                    )
-                    for chunk in _entry_chunks(cluster.entries, batch_pairs):
-                        for result in page_pair_join.join_cluster(chunk):
-                            outcome.absorb(result)
-                else:
-                    _stage_cluster_pages(cluster, pool, r_id, s_id, outcome)
-                    for row, col in cluster.entries:
-                        r_payload = pool.fetch(r_id, row)
-                        s_payload = pool.fetch(s_id, col)
-                        outcome.absorb(page_pair_join(row, col, r_payload, s_payload))
-            if auditor is not None:
-                auditor.check_cluster(
-                    cluster, disk_stats.transfers - transfers_before, index
-                )
-        _count_executor_totals(
-            recorder, outcome, len(ordered_clusters), use_megabatch
-        )
-        return outcome
-
-    futures: List[Future] = []
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        for index, cluster in enumerate(ordered_clusters):
-            transfers_before = disk_stats.transfers
-            # The span covers staging + fetches only — the joins run on
-            # worker threads and appear as their own (parentless,
-            # per-thread) ``execute.refine`` / ``execute.megabatch`` spans.
-            with recorder.span("execute.cluster"):
-                if use_megabatch:
-                    _stage_cluster_pinned(cluster, pool, r_id, s_id, outcome)
-                    entries = list(cluster.entries)
-                else:
-                    _stage_cluster_pages(cluster, pool, r_id, s_id, outcome)
-                    # Fetch on the main thread, in entry order: the buffer/disk
-                    # state transitions replay the serial run exactly.  Payload
-                    # references stay valid after eviction — eviction drops the
-                    # frame, not the in-memory array the frame pointed at.
-                    work: _ClusterWork = [
-                        (row, col, pool.fetch(r_id, row), pool.fetch(s_id, col))
-                        for row, col in cluster.entries
-                    ]
-            if auditor is not None:
-                # All of a cluster's physical reads happen above (the
-                # worker only touches resident payloads / columnar views),
-                # so the delta is complete here — same instant as the
-                # serial audit.
-                auditor.check_cluster(
-                    cluster, disk_stats.transfers - transfers_before, index
-                )
+    for index, cluster in enumerate(ordered_clusters):
+        transfers_before = disk_stats.transfers
+        with recorder.span("execute.cluster"):
             if use_megabatch:
-                futures.append(
-                    executor.submit(
-                        _join_cluster_megabatch, page_pair_join, entries, batch_pairs
-                    )
-                )
+                _stage_cluster_pinned(cluster, pool, r_id, s_id, outcome)
+                for result in page_pair_join.join_cluster(cluster.entries):
+                    outcome.absorb(result)
             else:
-                futures.append(executor.submit(_join_cluster, page_pair_join, work))
-        # Merge in schedule order regardless of completion order.
-        for future in futures:
-            for result in future.result():
-                outcome.absorb(result)
+                _stage_cluster_pages(cluster, pool, r_id, s_id, outcome)
+                for row, col in cluster.entries:
+                    r_payload = pool.fetch(r_id, row)
+                    s_payload = pool.fetch(s_id, col)
+                    outcome.absorb(page_pair_join(row, col, r_payload, s_payload))
+        if auditor is not None:
+            auditor.check_cluster(
+                cluster, disk_stats.transfers - transfers_before, index
+            )
     _count_executor_totals(recorder, outcome, len(ordered_clusters), use_megabatch)
     return outcome
 
@@ -261,21 +175,20 @@ def execute_clusters_sharded(
     global schedule order while they compute, then merges per-cluster
     results back in schedule order.  The outcome — pairs list included —
     and every simulated counter are bit-identical to
-    ``execute_clusters(..., workers=1)``; per-shard staging deltas are
+    :func:`execute_clusters`; per-shard staging deltas are
     counted under ``executor.shard.<k>.pages_read`` / ``.pages_reused``
     (their sums equal the serial totals by construction — see
     ``repro.obs.recorder.SHARDING_VARIANT_COUNTER_PREFIXES``).
 
-    Falls back to the thread pool when shared memory is unavailable on
-    the platform (counter ``executor.shard.fallback_threads``).  Raises
-    ``ValueError`` for joiners without a picklable shard recipe (custom
-    callables — use threads for those) and ``RuntimeError`` when a
+    Runs serially when shared memory is unavailable on the platform
+    (counter ``executor.shard.fallback_serial``).  Raises ``ValueError``
+    for joiners without a picklable shard recipe (custom callables — run
+    those through :func:`execute_clusters`) and ``RuntimeError`` when a
     worker process dies or the start-method validation fails.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if batch_pairs is not None and batch_pairs < 1:
-        raise ValueError(f"batch_pairs must be >= 1 or None, got {batch_pairs}")
+    _check_batch_pairs(batch_pairs)
     from repro.core.sharding import (
         build_shard_task,
         resolve_start_method,
@@ -288,14 +201,13 @@ def execute_clusters_sharded(
     if not shardable_joiner(page_pair_join):
         raise ValueError(
             f"joiner {type(page_pair_join).__name__} cannot be shipped to "
-            "shard processes; use the thread path (execute_clusters) instead"
+            "shard processes; run it serially (execute_clusters) instead"
         )
     if not shm_available():  # pragma: no cover - platform without shm
-        recorder.count("executor.shard.fallback_threads")
+        recorder.count("executor.shard.fallback_serial")
         return execute_clusters(
             ordered_clusters, pool, r_dataset, s_dataset, page_pair_join,
-            workers=workers, recorder=recorder, batch_pairs=batch_pairs,
-            auditor=auditor,
+            recorder=recorder, batch_pairs=batch_pairs, auditor=auditor,
         )
     # Lazy import: planner imports core.join, which imports this module.
     from repro.core.planner import ShardPlan, plan_shards
@@ -315,7 +227,7 @@ def execute_clusters_sharded(
     outcome = ExecutionOutcome()
     r_id = r_dataset.dataset_id
     s_id = s_dataset.dataset_id
-    use_megabatch = batch_pairs != 1 and getattr(
+    use_megabatch = batch_pairs is None and getattr(
         page_pair_join, "supports_megabatch", False
     )
     if not ordered_clusters:
@@ -438,14 +350,12 @@ def _count_executor_totals(
         recorder.count("executor.megabatch_clusters", num_clusters)
 
 
-def _entry_chunks(
-    entries: Sequence[Tuple[int, int]], batch_pairs: Optional[int]
-) -> List[List[Tuple[int, int]]]:
-    """Split a cluster's entries into mega-batches of ``batch_pairs``."""
-    items = list(entries)
-    if batch_pairs is None or batch_pairs >= len(items):
-        return [items]
-    return [items[i : i + batch_pairs] for i in range(0, len(items), batch_pairs)]
+def _check_batch_pairs(batch_pairs: Optional[int]) -> None:
+    if batch_pairs is not None and batch_pairs != 1:
+        raise ValueError(
+            f"batch_pairs must be None (mega-batch) or 1 (per pair), "
+            f"got {batch_pairs}"
+        )
 
 
 def _stage_cluster_pages(
@@ -487,22 +397,3 @@ def _stage_cluster_pinned(
             pool.fetch(r_id, row)
             pool.fetch(s_id, col)
 
-
-def _join_cluster(page_pair_join: PagePairJoin, work: _ClusterWork) -> List:
-    """Worker body: join one cluster's entries, preserving entry order."""
-    return [
-        page_pair_join(row, col, r_payload, s_payload)
-        for row, col, r_payload, s_payload in work
-    ]
-
-
-def _join_cluster_megabatch(
-    page_pair_join,
-    entries: List[Tuple[int, int]],
-    batch_pairs: Optional[int],
-) -> List:
-    """Worker body: fused cascade(s) over one cluster, entry order kept."""
-    results: List = []
-    for chunk in _entry_chunks(entries, batch_pairs):
-        results.extend(page_pair_join.join_cluster(chunk))
-    return results

@@ -41,6 +41,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -68,7 +69,7 @@ from repro.index.mrs import MRSIndex
 from repro.index.node import PageIndex
 from repro.index.rstar import build_spatial_page_index
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.sketch.cascade import PrefilteredJoiner, plan_prefilter
+from repro.sketch.cascade import plan_prefilter
 from repro.sketch.config import PrefilterConfig, resolve_prefilter
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
@@ -111,7 +112,9 @@ class IndexedDataset:
         """Point/spatial data under an L_p norm, indexed by an R*-tree.
 
         The tree's leaf order defines the on-disk layout (Section 5.1).
+        Raises ``ValueError`` on NaN or infinite coordinates.
         """
+        _check_finite(vectors, "point coordinates")
         page_index, reordered = build_spatial_page_index(
             vectors, page_capacity, method=build_method
         )
@@ -144,8 +147,10 @@ class IndexedDataset:
         time warping: page boxes are widened by the band envelope (so the
         prediction matrix stays complete for DTW) and window pairs are
         verified with an LB_Keogh filter plus the banded DP.  Both sides
-        of a join must use the same band.
+        of a join must use the same band.  Raises ``ValueError`` on NaN
+        or infinite values.
         """
+        _check_finite(values, "time-series values")
         paged = SequencePagedDataset(
             np.asarray(values, dtype=np.float64),
             symbols_per_page=windows_per_page,
@@ -322,30 +327,27 @@ def join(
         Buffer replacement policy; the paper (and the default) is LRU.
         ``"fifo"`` and ``"mru"`` exist for the replacement-policy ablation.
     workers:
-        Parallelism width for cluster execution (``sc``/``rand-sc``/``cc``
-        only; other methods ignore it).  Clusters are independent units
-        of work, so their page-pair joins run concurrently; simulated
-        I/O counts and the result are identical to ``workers=1``.  With
-        ``shard_strategy=None`` (default) this is a *thread* pool — the
-        compatibility fallback; combine with ``shard_strategy`` for
-        process-level parallelism.
-    shard_strategy:
-        ``None`` (default) keeps the thread path.  A strategy name
-        (``"affinity"``, ``"chunk"``, ``"roundrobin"``) or a prepared
-        :class:`~repro.core.planner.ShardPlan` switches cluster
-        execution to the process-sharded executor
-        (:func:`repro.core.executor.execute_clusters_sharded`): the
-        schedule is partitioned into ``workers`` shard-local sets,
+        Number of worker processes for cluster execution (``sc``/
+        ``rand-sc``/``cc`` only; other methods ignore it).  ``1`` (the
+        default) runs serially; ``workers > 1`` runs the process-sharded
+        executor (:func:`repro.core.executor.execute_clusters_sharded`):
+        the schedule is partitioned into ``workers`` shard-local sets,
         worker processes join them against shared-memory dataset views,
         and the parent replays the full simulated I/O serially — the
         result pair list, every simulated counter, and the Lemma audits
-        are bit-identical to the serial path.  Only ``sc``/``rand-sc``/
-        ``cc`` shard; other methods ignore it.  See
+        are bit-identical to ``workers=1``.  See
         ``docs/execution_modes.md``.
+    shard_strategy:
+        How the sharded executor partitions the schedule: a strategy
+        name (``"affinity"``, ``"chunk"``, ``"roundrobin"``) or a
+        prepared :class:`~repro.core.planner.ShardPlan`.  ``None``
+        (default) means ``"affinity"`` when ``workers > 1`` and serial
+        execution otherwise; setting it with ``workers=1`` runs one
+        shard process.
     kernel_backend:
         The refinement-kernel substrate (see
         :mod:`repro.kernels.backends`): a registered backend name
-        (``"numpy"``, ``"wavefront"``, optionally ``"numba"``), a
+        (``"numpy"``, ``"wavefront"``), a
         :class:`~repro.kernels.backends.KernelBackend` instance, or
         ``None`` to fall back to the ``REPRO_KERNEL_BACKEND``
         environment variable and then the default.  Every registered
@@ -376,25 +378,21 @@ def join(
     batch_pairs:
         Join granularity of cluster execution (``sc``/``rand-sc``/``cc``
         only).  ``None`` (the default) joins each cluster's marked page
-        pairs in one mega-batch cascade; ``1`` restores the classic
-        per-page-pair path; ``k > 1`` caps a mega-batch at ``k`` pairs.
-        Results and simulated accounting are identical at every setting
+        pairs in one mega-batch cascade; ``1`` selects the classic
+        per-page-pair path; any other value raises ``ValueError``.
+        Results and simulated accounting are identical at both settings
         (see :func:`repro.core.executor.execute_clusters`).
     prefilter:
         The sketch-based prefilter cascade (``sc``/``rand-sc``/``cc``
         only; see :mod:`repro.sketch` and ``docs/architecture.md``).
-        ``None`` (default) is off.  ``"exact"`` (or
-        ``PrefilterConfig(mode="exact")``) scores every marked cell with
-        cheap per-page sketches and uses the scores only to reorder each
-        cluster's mega-batch cascade — the result and every simulated
-        counter are bit-identical to ``prefilter=None``.
-        ``"approximate"`` (or ``PrefilterConfig(recall_target=...)``)
-        additionally *unmarks* cells whose estimated collision mass
-        falls under a calibrated budget, shrinking the work matrix
-        before clustering; the measured recall contract is probabilistic
-        and reported through ``prefilter.*`` counters.  Sketches are
-        cached in ``matrix_cache`` (when set) alongside the prediction
-        matrix.
+        ``None`` (default) is off.  ``"approximate"`` (or a
+        ``PrefilterConfig(recall_target=...)``) scores every marked cell
+        with cheap per-page sketches and *unmarks* cells whose estimated
+        collision mass falls under a calibrated budget, shrinking the
+        work matrix before clustering; the recall contract is
+        probabilistic, measured and reported through ``prefilter.*``
+        counters.  Sketches are cached in ``matrix_cache`` (when set)
+        alongside the prediction matrix.
     explain:
         When ``True``, assemble a :class:`~repro.obs.explain.JoinExplain`
         artifact — per-stage plan snapshots (matrix, prefilter, cluster
@@ -416,8 +414,11 @@ def join(
     """
     if method not in JOIN_METHODS:
         raise ValueError(f"unknown join method {method!r}; expected one of {JOIN_METHODS}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    check_epsilon(epsilon)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if shard_strategy is None and workers > 1:
+        shard_strategy = "affinity"
     if r.kind != s.kind:
         raise ValueError(f"cannot join datasets of kinds {r.kind!r} and {s.kind!r}")
     pf_config = resolve_prefilter(prefilter)
@@ -493,11 +494,10 @@ def join(
     prefilter_info = None
     if pf_config is not None:
         # The cascade scores marked cells against cheap per-page
-        # sketches; approximate mode prunes the matrix before clustering
-        # so the savings compound through scheduling and execution.  No
-        # modeled CPU is charged for sketch work — the sketches are an
-        # engine-side accelerator outside the paper's cost model, and
-        # exact mode must leave every simulated figure untouched; the
+        # sketches and prunes the matrix before clustering, so the
+        # savings compound through scheduling and execution.  No modeled
+        # CPU is charged for sketch work — the sketches are an
+        # engine-side accelerator outside the paper's cost model; the
         # host cost shows up in ``stage_seconds["prefilter"]``.
         with rec.span("join.prefilter") as pf_span:
             plan = plan_prefilter(
@@ -506,19 +506,15 @@ def join(
             )
             if plan.num_unmarked:
                 matrix.unmark_many(plan.unmark_rows, plan.unmark_cols)
-            kept_rows, kept_cols, kept_scores = plan.kept_cells()
-            joiner = PrefilteredJoiner(
-                joiner, kept_rows, kept_cols, kept_scores, recorder=rec
-            )
         stage_seconds["prefilter"] = pf_span.duration
         prefilter_info = {
-            "mode": pf_config.mode,
+            "mode": "approximate",
             "cells_scored": plan.num_cells,
             "cells_unmarked": plan.num_unmarked,
             "est_recall": plan.est_recall,
         }
         if collector is not None:
-            collector.snapshot_prefilter(plan, pf_config.mode)
+            collector.snapshot_prefilter(plan)
 
     preprocess_seconds = 0.0
     clusters: Optional[List[Cluster]] = None
@@ -566,7 +562,7 @@ def join(
                 )
             else:
                 outcome = execute_clusters(
-                    ordered, pool, r.paged, s.paged, joiner, workers=workers,
+                    ordered, pool, r.paged, s.paged, joiner,
                     recorder=rec, batch_pairs=batch_pairs,
                     auditor=explain_auditor,
                 )
@@ -596,7 +592,20 @@ def join(
     )
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ``ValueError`` unless ``epsilon`` is finite and non-negative."""
+    if not math.isfinite(epsilon) or epsilon < 0:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+
+
 # -- internals --------------------------------------------------------------------
+
+
+def _check_finite(values, what: str) -> None:
+    # One NaN poisons a page MBR, and every pair touching it is then
+    # silently pruned by the prediction matrix.
+    if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
+        raise ValueError(f"{what} must be finite, got NaN or infinity")
 
 
 def _build_or_load_matrix(

@@ -20,7 +20,8 @@ entry lists), and submits them to a process pool.  Each worker:
 
 Only the built-in joiners (:class:`~repro.core.joiners.NumericPagePairJoiner`
 with a Minkowski/DTW distance, :class:`~repro.core.joiners.TextPagePairJoiner`)
-have a picklable recipe; anything else must use the thread fallback.
+have a picklable recipe; anything else runs serially through
+:func:`repro.core.executor.execute_clusters`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.core.joiners import (
     TextPagePairJoiner,
 )
 from repro.obs.recorder import NULL_RECORDER, InMemoryRecorder
-from repro.sketch.cascade import PrefilteredJoiner
 from repro.storage.page import dataset_from_shm_spec, dataset_shm_spec
 from repro.storage.shm import ShmArena, ShmAttachments
 
@@ -73,8 +73,7 @@ def resolve_start_method(workers: int) -> str:
             "start method is unavailable on this platform: spawn-started "
             "workers would oversubscribe the CPUs while paying a full "
             "interpreter start each, which stalls rather than fails. "
-            "Reduce workers, or use the thread fallback "
-            "(shard_strategy=None)."
+            "Reduce workers, or run serially (workers=1)."
         )
     return "spawn"
 
@@ -109,16 +108,6 @@ def build_shard_task(
 
 def _joiner_recipe(joiner, arena: ShmArena) -> Dict[str, Any]:
     """The picklable recipe to rebuild a built-in joiner in a worker."""
-    if isinstance(joiner, PrefilteredJoiner):
-        # The wrapper's cell-score arrays ride the shared-memory arena
-        # like the text features do; the base joiner recurses.
-        return {
-            "kind": "prefiltered",
-            "base": _joiner_recipe(joiner.base, arena),
-            "cell_rows": arena.share(joiner.cell_rows),
-            "cell_cols": arena.share(joiner.cell_cols),
-            "cell_scores": arena.share(joiner.cell_scores),
-        }
     common = {
         "epsilon": joiner.epsilon,
         "cost_model": joiner.cost_model,
@@ -140,14 +129,12 @@ def _joiner_recipe(joiner, arena: ShmArena) -> Dict[str, Any]:
     raise ValueError(
         f"joiner {type(joiner).__name__} has no picklable shard recipe; "
         "sharded execution supports the built-in numeric/text joiners only "
-        "(use the thread fallback, shard_strategy=None, for custom joiners)"
+        "(run custom joiners serially through execute_clusters)"
     )
 
 
 def shardable_joiner(joiner) -> bool:
     """Whether :func:`_joiner_recipe` can ship this joiner to workers."""
-    if isinstance(joiner, PrefilteredJoiner):
-        return shardable_joiner(joiner.base)
     return isinstance(joiner, (NumericPagePairJoiner, TextPagePairJoiner))
 
 
@@ -192,8 +179,6 @@ def run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
 def _run_shard_attached(
     task: Dict[str, Any], attachments: ShmAttachments
 ) -> Tuple[Dict[int, List[JoinerResult]], Optional[dict]]:
-    from repro.core.executor import _entry_chunks  # local: avoid cycle
-
     r_dataset = dataset_from_shm_spec(task["r_spec"], attachments.attach)
     s_dataset = (
         r_dataset
@@ -202,14 +187,11 @@ def _run_shard_attached(
     )
     recorder = InMemoryRecorder() if task["record"] else NULL_RECORDER
     joiner = _rebuild_joiner(task["joiner"], r_dataset, s_dataset, attachments, recorder)
-    batch_pairs = task["batch_pairs"]
-    use_megabatch = batch_pairs != 1 and joiner.supports_megabatch
+    use_megabatch = task["batch_pairs"] is None and joiner.supports_megabatch
     results: Dict[int, List[JoinerResult]] = {}
     for schedule_index, entries in task["clusters"]:
         if use_megabatch:
-            cluster_results: List[JoinerResult] = []
-            for chunk in _entry_chunks(entries, batch_pairs):
-                cluster_results.extend(joiner.join_cluster(chunk))
+            cluster_results = joiner.join_cluster(entries)
         else:
             cluster_results = [
                 joiner(
@@ -228,17 +210,6 @@ def _run_shard_attached(
 def _rebuild_joiner(
     recipe: Dict[str, Any], r_dataset, s_dataset, attachments: ShmAttachments, recorder
 ):
-    if recipe["kind"] == "prefiltered":
-        base = _rebuild_joiner(
-            recipe["base"], r_dataset, s_dataset, attachments, recorder
-        )
-        return PrefilteredJoiner(
-            base,
-            attachments.attach(recipe["cell_rows"]),
-            attachments.attach(recipe["cell_cols"]),
-            attachments.attach(recipe["cell_scores"]),
-            recorder=recorder,
-        )
     if recipe["kind"] == "numeric":
         return NumericPagePairJoiner(
             r_dataset,

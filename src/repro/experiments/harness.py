@@ -74,9 +74,8 @@ def run_methods(
     ``prefilter`` is forwarded to :func:`repro.core.join.join` for the
     matrix-clustering methods (sc/rand-sc/cc); competitor baselines
     (nlj and the index variants) ignore it, matching ``join``'s own
-    validation.  An approximate prefilter may legitimately drop result
-    pairs, so the cross-method agreement check is skipped in that mode
-    — recall is then a measured quantity
+    validation.  The prefilter may legitimately drop result pairs, so the
+    cross-method agreement check is skipped when it is on — recall is then a measured quantity
     (:func:`repro.sketch.cascade.measured_recall`), not an invariant.
 
     ``explain=True`` requests the plan/reconciliation artifact from
@@ -106,7 +105,7 @@ def run_methods(
             runs[method] = MethodRun(method, buffer_pages, None, None)
             continue
         runs[method] = MethodRun(method, buffer_pages, result.report, result.num_pairs)
-    if pf_config is None or not pf_config.approximate:
+    if pf_config is None:
         _check_result_agreement(runs)
     return runs
 

@@ -24,8 +24,8 @@ Modules
     Anti-diagonal rewrites of the DTW/edit DPs — batch × diagonal
     vectorisation, bit-identical to the row kernels.
 ``backends``
-    The pluggable backend registry (``numpy`` / ``wavefront`` /
-    optional ``numba``) selected via ``REPRO_KERNEL_BACKEND``,
+    The pluggable backend registry (``numpy`` / ``wavefront``) selected
+    via ``REPRO_KERNEL_BACKEND``,
     ``join(..., kernel_backend=...)``, or ``--kernel-backend``.
 """
 
@@ -34,7 +34,6 @@ from repro.kernels.backends import (
     KERNEL_BACKEND_ENV,
     KernelBackend,
     get_backend,
-    numba_available,
     register_backend,
     registered_backends,
     resolve_backend,
@@ -58,5 +57,4 @@ __all__ = [
     "registered_backends",
     "get_backend",
     "resolve_backend",
-    "numba_available",
 ]

@@ -3,7 +3,7 @@
 The refinement hot path — banded DTW and banded edit distance over
 candidate pair blocks, plus the LB_Keogh / envelope / Gram panel
 filters — is routed through a *backend* object so the execution
-substrate is a configuration choice rather than a rewrite.  Three
+substrate is a configuration choice rather than a rewrite.  Two
 backends ship:
 
 ``numpy``
@@ -16,10 +16,6 @@ backends ship:
     order, so bit-identical results, counters, and early-abandon
     decisions, with Python-level loop count O(w + band) instead of
     O(w · band).  The default.
-``numba``
-    ``@njit``-compiled per-pair DP recurrences
-    (``repro.kernels._numba_backend``); registered only when numba is
-    importable (optional extra ``repro[numba]``).
 
 Selection precedence is ``env < kwarg < CLI``: the
 ``REPRO_KERNEL_BACKEND`` environment variable supplies the default,
@@ -57,16 +53,14 @@ __all__ = [
     "registered_backends",
     "get_backend",
     "resolve_backend",
-    "numba_available",
 ]
 
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 DEFAULT_KERNEL_BACKEND = "wavefront"
 
-# Backends that are known but only register when their dependency
-# imports; the ConfigError message tells the user how to get them.
+# Backends that are known but not bundled; the ConfigError message
+# tells the user how to get them.
 _OPTIONAL_HINTS = {
-    "numba": "it requires the optional numba dependency (pip install 'repro[numba]')",
     "cupy": "a CuPy backend is not bundled; see docs/architecture.md for the recipe",
 }
 
@@ -196,19 +190,5 @@ def resolve_backend(
     return get_backend(str(choice))
 
 
-def numba_available() -> bool:
-    """True when the optional numba backend registered at import."""
-    return "numba" in _REGISTRY
-
-
-def _register_builtin_backends() -> None:
-    register_backend(NumpyKernelBackend())
-    register_backend(WavefrontKernelBackend())
-    try:
-        from repro.kernels import _numba_backend
-    except ImportError:
-        return
-    register_backend(_numba_backend.NumbaKernelBackend())
-
-
-_register_builtin_backends()
+register_backend(NumpyKernelBackend())
+register_backend(WavefrontKernelBackend())

@@ -78,12 +78,11 @@ BATCHING_VARIANT_COUNTERS = frozenset(
 SHARDING_VARIANT_COUNTER_PREFIXES = ("executor.shard",)
 
 # Counter-name prefixes that exist only with the sketch prefilter
-# enabled (``join(..., prefilter=...)`` — cell scoring, sketch-cache
-# traffic, cascade reordering).  Exact-mode equivalence checks against
-# ``prefilter=None`` must drop counters with these prefixes and require
-# everything else to match exactly.  Between serial and sharded runs of
-# the *same* prefilter setting these counters are NOT variant: worker
-# shards' ``prefilter.*`` sums equal the serial totals.
+# enabled (``join(..., prefilter=...)`` — cell scoring, unmarking,
+# sketch-cache traffic).  Comparisons against ``prefilter=None`` must
+# drop counters with these prefixes.  Between serial and sharded runs of
+# the *same* prefilter setting these counters are NOT variant: they are
+# all counted by the parent before execution.
 PREFILTER_VARIANT_COUNTER_PREFIXES = ("prefilter.",)
 
 # Counter-name prefix for per-backend kernel attribution
@@ -329,6 +328,7 @@ class InMemoryRecorder(Recorder):
         self._lock = threading.Lock()
         self._stacks = threading.local()
         self._next_span_id = 0
+        self._merged_threads = 0
         self.origin = time.perf_counter()
         self.origin_unix = time.time()
         self.spans: List[Span] = []
@@ -438,7 +438,10 @@ class InMemoryRecorder(Recorder):
         recorder's origin; spans are re-created with fresh ids (parent
         links remapped within the merged batch) and, when ``span_attrs``
         is given, those attributes added — the sharded executor tags each
-        worker's spans with its shard index this way.
+        worker's spans with its shard index this way.  Each merged
+        thread gets a fresh negative ``thread_id``: a forked worker's
+        main thread shares its parent's ident, and concurrent shards must
+        not land on one track.
         """
         if isinstance(other, InMemoryRecorder):
             other = other.export_state()
@@ -461,10 +464,14 @@ class InMemoryRecorder(Recorder):
                 self.events.append(rebased)
                 merged_events.append(rebased)
             id_map: Dict[int, int] = {}
+            thread_map: Dict[Any, int] = {}
             for row in other["spans"]:
                 if row["span_id"] is not None:
                     id_map[row["span_id"]] = self._next_span_id
                     self._next_span_id += 1
+                if row["thread_id"] not in thread_map:
+                    self._merged_threads += 1
+                    thread_map[row["thread_id"]] = -self._merged_threads
             for row in other["spans"]:
                 attrs = dict(row["attrs"])
                 if span_attrs:
@@ -474,7 +481,7 @@ class InMemoryRecorder(Recorder):
                 span.end = row["end"]
                 span.span_id = id_map.get(row["span_id"])
                 span.parent_id = id_map.get(row["parent_id"])
-                span.thread_id = row["thread_id"]
+                span.thread_id = thread_map[row["thread_id"]]
                 self.spans.append(span)
                 merged_spans.append(span)
         # Stream through the subclass hooks outside the lock, so e.g.

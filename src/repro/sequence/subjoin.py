@@ -64,17 +64,19 @@ def subsequence_join(
     Pass ``second=None`` (or the same object) for a self join; the result
     then contains each unordered offset pair once, self matches excluded.
     For numeric sequences, ``dtw_band`` switches the distance from the
-    L_p norm to banded dynamic time warping.  ``workers`` parallelises
-    cluster execution for the clustering methods (see
-    :func:`repro.core.join.join`); results and simulated I/O are
-    identical to the serial run.  ``recorder`` forwards a
+    L_p norm to banded dynamic time warping.  ``workers > 1`` runs
+    cluster execution for the clustering methods in that many shard
+    processes (see :func:`repro.core.join.join`); results and simulated
+    I/O are identical to the serial run.  ``recorder`` forwards a
     :class:`repro.obs.Recorder` to the underlying page join for span
     traces and metrics.  ``batch_pairs`` sets the cluster-execution
     granularity (``None`` = whole-cluster mega-batch, ``1`` = per page
-    pair) without changing results or accounting.  ``prefilter``
-    forwards a sketch-cascade mode or :class:`repro.sketch.PrefilterConfig`
-    (``"exact"`` reorders only; ``"approximate"`` prunes under a recall
-    target — see :func:`repro.core.join.join`).  ``explain=True``
+    pair; nothing else is accepted) without changing results or
+    accounting.  ``prefilter`` forwards ``"approximate"`` or a
+    :class:`repro.sketch.PrefilterConfig`, which prunes the prediction
+    matrix under a recall target (see :func:`repro.core.join.join`).
+    A non-finite or negative ``epsilon`` raises ``ValueError``.
+    ``explain=True``
     attaches the plan/reconciliation artifact as
     ``result.report.extra["explain"]`` (see
     :class:`repro.obs.explain.JoinExplain`).

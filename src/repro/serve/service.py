@@ -18,8 +18,9 @@ POST   ``/subsequence_join``        Same, restricted to sliding-window data.
 ====== ============================ ==========================================
 
 Error mapping: unknown dataset → **404**; malformed payloads and config
-errors → **400**; admission queue full or wait timed out → **429**;
-anything else → **500** with the exception text.
+errors → **400**; a body over :data:`MAX_BODY_BYTES` → **413**;
+admission queue full or wait timed out → **429**; anything else →
+**500** with the exception text.
 
 No new dependencies: ``http.server`` + ``json`` only, threads per
 request (the session is built for exactly that concurrency).
@@ -42,6 +43,10 @@ from repro.serve.admission import AdmissionRejected
 from repro.serve.session import JoinSession
 
 __all__ = ["JoinService", "make_server", "serve"]
+
+# Largest request body the daemon reads; a longer Content-Length is
+# refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 _DATASET_PATH = re.compile(r"^/datasets/([^/]+)$")
 _PAGES_PATH = re.compile(r"^/datasets/([^/]+)/pages$")
@@ -149,6 +154,10 @@ class JoinService:
         epsilon = float(_required(kwargs, "epsilon", (int, float)))
         kwargs.pop("r", None)
         kwargs.pop("epsilon", None)
+        if kwargs.get("workers", 1) != 1:
+            # workers > 1 forks shard processes, which the admission
+            # budget (buffer frames per request) does not account for.
+            raise ValueError("field 'workers' must be 1 on the join service")
         runner = self.session.subsequence_join if subsequence else self.session.join
         return 200, runner(r_id, s_id, epsilon, **kwargs)
 
@@ -193,6 +202,10 @@ class JoinService:
         return 404, {"error": f"no route for {method} {path}"}
 
 
+class _BodyTooLarge(Exception):
+    pass
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
@@ -207,6 +220,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Optional[Dict[str, Any]]:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         if length == 0:
             return None
         raw = self.rfile.read(length)
@@ -218,6 +238,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(self, method: str) -> None:
         try:
             body = self._read_body()
+        except _BodyTooLarge as exc:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
+            self._send(413, {"error": str(exc)})
+            return
         except (ValueError, json.JSONDecodeError) as exc:
             self._send(400, {"error": f"invalid JSON body: {exc}"})
             return

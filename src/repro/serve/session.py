@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.join import IndexedDataset, join
+from repro.core.join import IndexedDataset, check_epsilon, join
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.obs.recorder import InMemoryRecorder
 from repro.serve.admission import AdmissionController
@@ -391,6 +391,8 @@ class JoinSession:
         lookup and fill) — it always executes, which is what
         latency-measuring clients and the concurrency bench want.
         """
+        # Before any cache key is derived from it: NaN keys never match.
+        check_epsilon(epsilon)
         frames = buffer_pages or self.request_buffer_pages
         req = request_id or uuid.uuid4().hex[:12]
         started = time.perf_counter()

@@ -1,25 +1,21 @@
-"""Scoring, calibration and execution hooks of the prefilter cascade.
+"""Scoring and calibration of the prefilter cascade.
 
 The cascade sits between prediction-matrix construction and clustering:
 
 1. :func:`plan_prefilter` fetches (or builds) both datasets' page
-   sketches, scores every marked cell with an estimated collision
-   fraction, and — in approximate mode — selects the cells to unmark
-   under a mass budget calibrated against the recall target
-   (:func:`select_unmark`).
-2. In both modes the surviving cells' scores feed
-   :class:`PrefilteredJoiner`, which reorders each cluster's mega-batch
-   entries by descending estimated yield before delegating to the base
-   joiner and restores entry order on the way out — results and every
-   simulated counter stay bit-identical to the unwrapped joiner.
+   sketches and scores every marked cell with an estimated collision
+   fraction.
+2. :func:`select_unmark` picks the cells to unmark under a mass budget
+   calibrated against the recall target; ``join`` unmarks them before
+   clustering, and execution runs the unchanged joiner over what is
+   left.
 
 Scores are *estimates*: quantile signatures estimate, per projection,
 the fraction of a cell's object pairs that satisfy the projection's
 necessary condition ``|u·a − u·b| <= eff_eps``; the minimum over
 projections upper-estimates the cell's collision fraction.  Minhash
 signatures estimate the Jaccard similarity of two text pages' gram
-sets.  Exactness never depends on a score — exact mode only reorders,
-and approximate mode's recall contract is calibrated, measured
+sets.  The recall contract is therefore calibrated, measured
 (:func:`measured_recall`) and reported, not proved.
 """
 
@@ -27,18 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.joiners import Entry, JoinerResult, PagePairJoiner
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sketch.config import PrefilterConfig
 from repro.sketch.signatures import PageSketches, build_sketches, sketch_params_fingerprint
 
 __all__ = [
     "PrefilterPlan",
-    "PrefilteredJoiner",
     "plan_prefilter",
     "score_cells",
     "select_unmark",
@@ -51,12 +45,11 @@ _SCORE_CELL_BUDGET = 1 << 22
 
 @dataclass
 class PrefilterPlan:
-    """One join's scored cells plus the approximate-mode unmark selection.
+    """One join's scored cells plus the unmark selection.
 
     ``rows``/``cols``/``scores``/``sizes`` cover every marked cell at
     scoring time (row-major order, matching ``PredictionMatrix.to_coo``).
-    ``unmark`` is a boolean mask over those cells (all-``False`` in exact
-    mode); ``est_recall`` is the calibration's estimate of the surviving
+    ``unmark`` is a boolean mask over those cells; ``est_recall`` is the calibration's estimate of the surviving
     collision-mass fraction.
     """
 
@@ -98,10 +91,6 @@ class PrefilterPlan:
     def unmark_cols(self) -> np.ndarray:
         return self.cols[self.unmark]
 
-    def kept_cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, cols, scores)`` of the cells that stay marked."""
-        keep = ~self.unmark
-        return self.rows[keep], self.cols[keep], self.scores[keep]
 
 
 def effective_epsilon(dataset, epsilon: float) -> float:
@@ -296,19 +285,15 @@ def plan_prefilter(
     eff_eps = epsilon if r.kind == "text" else effective_epsilon(r, epsilon)
     scores = score_cells(r_sketches, s_sketches, rows, cols, eff_eps)
     sizes = r_sketches.counts[rows] * s_sketches.counts[cols]
-    if config.approximate:
-        unmark, est_recall = select_unmark(
-            rows,
-            cols,
-            scores,
-            sizes,
-            config.recall_target,
-            config.margin,
-            cell_pair_floor=config.cell_pair_floor,
-        )
-    else:
-        unmark = np.zeros(rows.shape[0], dtype=bool)
-        est_recall = 1.0
+    unmark, est_recall = select_unmark(
+        rows,
+        cols,
+        scores,
+        sizes,
+        config.recall_target,
+        config.margin,
+        cell_pair_floor=config.cell_pair_floor,
+    )
     if recorder.enabled:
         recorder.count("prefilter.cells_scored", int(rows.shape[0]))
         recorder.count("prefilter.cells_unmarked", int(np.count_nonzero(unmark)))
@@ -356,105 +341,6 @@ def _sketches_for(dataset, config, cache_dir, recorder: Recorder) -> PageSketche
 
         save_sketches(sketches, cache_dir, key)
     return sketches
-
-
-class PrefilteredJoiner(PagePairJoiner):
-    """Wraps a page-pair joiner; reorders cluster entries by score.
-
-    ``join_cluster`` permutes the entries to descending estimated yield,
-    delegates to the wrapped joiner, and inverts the permutation on the
-    per-entry results — so high-yield page pairs lead each mega-batch
-    cascade while pairs, counts, modeled CPU and every recorder counter
-    stay bit-identical to the unwrapped joiner (per-entry results depend
-    only on the entry's own pages, and the cluster block's page staging
-    is order-insensitive).  The per-pair path (``__call__``) delegates
-    untouched: its entry order drives buffer-pool recency, which a
-    reorder would perturb.
-    """
-
-    def __init__(
-        self,
-        base: PagePairJoiner,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        scores: np.ndarray,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> None:
-        self.base = base
-        self.cell_rows = np.ascontiguousarray(rows, dtype=np.int64)
-        self.cell_cols = np.ascontiguousarray(cols, dtype=np.int64)
-        self.cell_scores = np.ascontiguousarray(scores, dtype=np.float64)
-        self.recorder = recorder
-        self._score_map: "Optional[dict]" = None
-
-    # -- passthroughs the executor and shard recipe consult -------------------
-
-    @property
-    def supports_megabatch(self) -> bool:  # type: ignore[override]
-        return bool(getattr(self.base, "supports_megabatch", False))
-
-    @property
-    def r_dataset(self):
-        return self.base.r_dataset
-
-    @property
-    def s_dataset(self):
-        return self.base.s_dataset
-
-    @property
-    def epsilon(self):
-        return self.base.epsilon
-
-    @property
-    def cost_model(self):
-        return self.base.cost_model
-
-    @property
-    def self_join(self):
-        return self.base.self_join
-
-    @property
-    def collect_pairs(self):
-        return self.base.collect_pairs
-
-    # -- joining ---------------------------------------------------------------
-
-    def __call__(self, row: int, col: int, r_payload, s_payload) -> JoinerResult:
-        return self.base(row, col, r_payload, s_payload)
-
-    def join_cluster(self, entries: Sequence[Entry]) -> List[JoinerResult]:
-        entries = list(entries)
-        if len(entries) < 2:
-            return self.base.join_cluster(entries)
-        scores = self._entry_scores(entries)
-        order = np.argsort(-scores, kind="stable")
-        if np.array_equal(order, np.arange(len(entries))):
-            return self.base.join_cluster(entries)
-        permuted = [entries[int(k)] for k in order]
-        results = self.base.join_cluster(permuted)
-        restored: List[Optional[JoinerResult]] = [None] * len(entries)
-        for pos, k in enumerate(order.tolist()):
-            restored[k] = results[pos]
-        if self.recorder.enabled:
-            self.recorder.count("prefilter.reordered_clusters")
-        return restored  # type: ignore[return-value]
-
-    def _entry_scores(self, entries: Sequence[Entry]) -> np.ndarray:
-        if self._score_map is None:
-            self._score_map = {
-                (int(r), int(c)): float(v)
-                for r, c, v in zip(
-                    self.cell_rows.tolist(),
-                    self.cell_cols.tolist(),
-                    self.cell_scores.tolist(),
-                )
-            }
-        lookup = self._score_map
-        return np.fromiter(
-            (lookup.get((int(r), int(c)), 0.0) for r, c in entries),
-            dtype=np.float64,
-            count=len(entries),
-        )
 
 
 def measured_recall(

@@ -7,24 +7,18 @@ from typing import Optional, Union
 
 __all__ = ["PrefilterConfig", "resolve_prefilter"]
 
-_MODES = ("exact", "approximate")
-
 
 @dataclass(frozen=True)
 class PrefilterConfig:
-    """How the sketch cascade treats the prediction matrix's marked cells.
+    """How the sketch cascade prunes the prediction matrix's marked cells.
 
-    mode:
-        ``"approximate"`` (default) unmarks cells whose estimated
-        collision probability is negligible, calibrated so the estimated
-        share of lost result pairs stays within ``1 - recall_target``.
-        ``"exact"`` never unmarks: the scores only reorder each
-        cluster's cascade (highest estimated yield first), leaving the
-        result and every simulated counter bit-identical to
-        ``prefilter=None``.
+    The cascade unmarks cells whose estimated collision probability is
+    negligible, calibrated so the estimated share of lost result pairs
+    stays within ``1 - recall_target``.
+
     recall_target:
-        Approximate mode's calibration target — the estimated fraction
-        of true result pairs that must survive the pruning.
+        The calibration target — the estimated fraction of true result
+        pairs that must survive the pruning.
     margin:
         Safety factor on the allowed estimated loss: the pruning budget
         is ``(1 - recall_target) * margin`` of the total estimated
@@ -51,7 +45,6 @@ class PrefilterConfig:
         both sides, so this holds by construction).
     """
 
-    mode: str = "approximate"
     recall_target: float = 0.99
     margin: float = 0.5
     cell_pair_floor: float = 0.5
@@ -63,10 +56,6 @@ class PrefilterConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(
-                f"prefilter mode must be one of {_MODES}, got {self.mode!r}"
-            )
         if not (0.0 < self.recall_target <= 1.0):
             raise ValueError(
                 f"recall_target must be in (0, 1], got {self.recall_target}"
@@ -82,32 +71,27 @@ class PrefilterConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    @property
-    def approximate(self) -> bool:
-        return self.mode == "approximate"
-
 
 def resolve_prefilter(
     prefilter: Union[None, str, PrefilterConfig],
 ) -> Optional[PrefilterConfig]:
     """Normalise ``join``'s ``prefilter=`` argument to a config or ``None``.
 
-    Accepts ``None`` (off), the mode strings ``"exact"`` /
-    ``"approximate"`` (default parameters), or a full
-    :class:`PrefilterConfig`.
+    Accepts ``None`` (off), the string ``"approximate"`` (default
+    parameters), or a full :class:`PrefilterConfig`.
     """
     if prefilter is None:
         return None
     if isinstance(prefilter, PrefilterConfig):
         return prefilter
     if isinstance(prefilter, str):
-        if prefilter not in _MODES:
+        if prefilter != "approximate":
             raise ValueError(
-                f"prefilter must be one of {_MODES} or a PrefilterConfig, "
+                f"prefilter must be 'approximate' or a PrefilterConfig, "
                 f"got {prefilter!r}"
             )
-        return PrefilterConfig(mode=prefilter)
+        return PrefilterConfig()
     raise TypeError(
-        f"prefilter must be None, a mode string or a PrefilterConfig, "
+        f"prefilter must be None, 'approximate' or a PrefilterConfig, "
         f"got {type(prefilter).__name__}"
     )

@@ -33,6 +33,22 @@ class TestIndexedDatasetConstruction:
                 rng.normal(size=200), window_length=8, feature="paa", p=1.0
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_points_rejects_non_finite(self, rng, bad):
+        # One bad coordinate would poison its page MBR and silently
+        # drop every pair on that page from the join.
+        pts = rng.random((300, 3))
+        pts[123, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            IndexedDataset.from_points(pts, page_capacity=16)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_time_series_rejects_non_finite(self, rng, bad):
+        values = rng.normal(size=200).cumsum()
+        values[57] = bad
+        with pytest.raises(ValueError, match="finite"):
+            IndexedDataset.from_time_series(values, window_length=8, windows_per_page=16)
+
     def test_full_comparison_weight(self, rng):
         vec = IndexedDataset.from_points(rng.random((50, 2)), page_capacity=16)
         assert vec.full_comparison_weight(0.1) == 1.0
@@ -50,6 +66,16 @@ class TestJoinValidation:
         r, s = vector_pair
         with pytest.raises(ValueError):
             join(r, s, -1.0)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_epsilon(self, rng, epsilon):
+        # NaN compares false against 0, so a sign check alone lets it
+        # through and the join silently returns no pairs.
+        r = IndexedDataset.from_points(rng.random((300, 3)), page_capacity=16)
+        s = IndexedDataset.from_points(rng.random((200, 3)), page_capacity=16)
+        assert join(r, s, 0.1).num_pairs > 0
+        with pytest.raises(ValueError, match="epsilon"):
+            join(r, s, epsilon)
 
     def test_kind_mismatch(self, vector_pair, dna_dataset):
         r, _ = vector_pair

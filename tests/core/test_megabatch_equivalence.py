@@ -123,12 +123,14 @@ class TestVectorEquivalence:
         # Self matches really are excluded, not merely equal on both paths.
         assert all(a < b for a, b in megabatch[0].pairs)
 
-    def test_intermediate_batch_sizes_match(self, vector_pair):
+    def test_intermediate_batch_sizes_rejected(self, vector_pair):
+        # Only the two granularities exist: None (mega-batch) and 1.
         r, s = vector_pair
-        baseline = _run(r, s, 0.05, batch_pairs=1)
         for batch_pairs in (2, 3, 7):
-            chunked = _run(r, s, 0.05, batch_pairs=batch_pairs)
-            _assert_identical(baseline, chunked)
+            with pytest.raises(ValueError, match="batch_pairs"):
+                _run(r, s, 0.05, batch_pairs=batch_pairs)
+            with pytest.raises(ValueError, match="batch_pairs"):
+                _run(r, s, 0.05, batch_pairs=batch_pairs, workers=2)
 
     def test_count_only_cardinality_matches(self, vector_pair):
         r, s = vector_pair

@@ -1,25 +1,23 @@
 """Parallel cluster execution: same answer, same simulated I/O as serial.
 
-The executor's contract (ISSUE 1 tentpole): with ``workers > 1`` all
-buffer/disk traffic stays on the main thread in serial order, so every
-simulated counter — page reads, seeks, buffer hits, io seconds — is
-identical to ``workers = 1``, and results merge in schedule order so
-even the pairs *list* (not just the set) matches.
+``workers > 1`` runs the process-sharded executor.  All buffer/disk
+traffic is replayed by the parent in serial order, so every simulated
+counter — page reads, seeks, buffer hits, io seconds — is identical to
+``workers = 1``, and results merge in schedule order so even the pairs
+*list* (not just the set) matches.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.clusters import Cluster
-from repro.core.executor import execute_clusters
+from repro.core.executor import execute_clusters, execute_clusters_sharded
 from repro.core.join import IndexedDataset, join
+from repro.core.joiners import make_numeric_joiner
+from repro.distance.vector import MinkowskiDistance
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import VectorPagedDataset
-
-
-def counting_joiner(row, col, r_payload, s_payload):
-    return [(row, col)], 1, len(r_payload) * len(s_payload), 0.001
 
 
 @pytest.fixture
@@ -41,19 +39,25 @@ CLUSTERS = [
 ]
 
 
+def _joiner(r, s, cost_model):
+    return make_numeric_joiner(r, s, MinkowskiDistance(2.0), 3.0, cost_model, False)
+
+
 class TestExecutorParallelism:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_outcome_identical_to_serial(self, cost_model, datasets, workers):
         r, s = datasets
+        joiner = _joiner(r, s, cost_model)
         serial_disk = SimulatedDisk(cost_model)
         serial = execute_clusters(
-            CLUSTERS, BufferPool(serial_disk, 8), r, s, counting_joiner
+            CLUSTERS, BufferPool(serial_disk, 8), r, s, joiner
         )
         parallel_disk = SimulatedDisk(cost_model)
-        parallel = execute_clusters(
-            CLUSTERS, BufferPool(parallel_disk, 8), r, s, counting_joiner,
+        parallel = execute_clusters_sharded(
+            CLUSTERS, BufferPool(parallel_disk, 8), r, s, joiner,
             workers=workers,
         )
+        assert serial.num_pairs > 0
         assert parallel.pairs == serial.pairs  # order included
         assert parallel.num_pairs == serial.num_pairs
         assert parallel.comparisons == serial.comparisons
@@ -65,17 +69,18 @@ class TestExecutorParallelism:
         assert parallel_disk.stats.buffer_hits == serial_disk.stats.buffer_hits
         assert parallel_disk.stats.io_seconds == serial_disk.stats.io_seconds
 
-    def test_rejects_bad_worker_count(self, disk, datasets):
-        r, s = datasets
-        with pytest.raises(ValueError):
-            execute_clusters([], BufferPool(disk, 8), r, s, counting_joiner, workers=0)
+    def test_rejects_bad_worker_count(self, vector_pair):
+        r, s = vector_pair
+        with pytest.raises(ValueError, match="workers"):
+            join(r, s, 0.05, buffer_pages=10, workers=0)
 
-    def test_oversized_cluster_still_rejected(self, disk, datasets):
+    def test_oversized_cluster_still_rejected(self, cost_model, disk, datasets):
         r, s = datasets
         too_big = Cluster(0, ((0, 0), (1, 1)))  # 4 pages > 3
         with pytest.raises(ValueError):
-            execute_clusters(
-                [too_big], BufferPool(disk, 3), r, s, counting_joiner, workers=2
+            execute_clusters_sharded(
+                [too_big], BufferPool(disk, 3), r, s, _joiner(r, s, cost_model),
+                workers=2,
             )
 
 
@@ -113,6 +118,17 @@ class TestJoinParallelism:
         )
         serial = join(ds, ds, 2, method="sc", buffer_pages=8, workers=1)
         parallel = join(ds, ds, 2, method="sc", buffer_pages=8, workers=2)
+        assert parallel.pairs == serial.pairs
+        assert _report_counters(parallel) == _report_counters(serial)
+
+    def test_series_join(self, rng):
+        seq = rng.normal(size=600).cumsum()
+        ds = IndexedDataset.from_time_series(
+            seq, window_length=12, windows_per_page=32, dataset_id="L2"
+        )
+        serial = join(ds, ds, 2.0, method="sc", buffer_pages=10, workers=1)
+        parallel = join(ds, ds, 2.0, method="sc", buffer_pages=10, workers=2)
+        assert serial.num_pairs > 0
         assert parallel.pairs == serial.pairs
         assert _report_counters(parallel) == _report_counters(serial)
 

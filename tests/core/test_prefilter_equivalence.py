@@ -1,11 +1,12 @@
-"""Exact-mode prefilter equivalence: ``prefilter="exact"`` may only
-*reorder* each cluster's cascade, so a join with it must be
-observationally identical to ``prefilter=None`` — pairs (order
-included), every simulated cost field, every semantic counter — across
-joiner kinds, worker counts, and serial vs process-sharded execution.
-Only the ``prefilter.*`` counters (which exist solely with the
-prefilter on) and the batching/sharding kernel-shape counters may
-differ.
+"""Prefilter equivalence: the approximate prefilter changes a join's
+answer only through the cells it unmarks.
+
+A join with ``prefilter="approximate"`` must return exactly the
+unfiltered answer restricted to the page pairs that stay marked, and it
+must be observationally identical — pairs (order included), every
+simulated cost field, every counter — across worker counts, serial vs
+process-sharded execution, and per-pair vs mega-batch granularity.
+Only the batching/sharding kernel-shape counters may differ.
 """
 
 from __future__ import annotations
@@ -18,21 +19,19 @@ from repro.datasets import markov_dna
 from repro.obs import (
     BACKEND_VARIANT_COUNTER_PREFIXES,
     BATCHING_VARIANT_COUNTERS,
-    PREFILTER_VARIANT_COUNTER_PREFIXES,
     SHARDING_VARIANT_COUNTER_PREFIXES,
     InMemoryRecorder,
 )
 from repro.sketch.config import PrefilterConfig
 
 
-def _semantic_counters(recorder: InMemoryRecorder) -> dict:
+def _stable_counters(recorder: InMemoryRecorder) -> dict:
     counters = recorder.metrics_snapshot()["counters"]
     return {
         name: value
         for name, value in counters.items()
         if name not in BATCHING_VARIANT_COUNTERS
         and not name.startswith(SHARDING_VARIANT_COUNTER_PREFIXES)
-        and not name.startswith(PREFILTER_VARIANT_COUNTER_PREFIXES)
         and not name.startswith(BACKEND_VARIANT_COUNTER_PREFIXES)
     }
 
@@ -61,7 +60,38 @@ def _assert_identical(baseline, candidate):
     assert cr.seeks == br.seeks
     assert cr.buffer_hits == br.buffer_hits
     assert cr.extra["pages_reused"] == br.extra["pages_reused"]
-    assert _semantic_counters(cand_rec) == _semantic_counters(base_rec)
+    assert cr.extra["prefilter"] == br.extra["prefilter"]
+    assert _stable_counters(cand_rec) == _stable_counters(base_rec)
+
+
+def _page_of(dataset):
+    paged = dataset.paged
+    if dataset.kind == "vector":
+        return paged.page_of_object
+    return paged.page_of_offset
+
+
+def _check_prefilter(r, s, epsilon, prefilter="approximate", **candidate_kwargs):
+    """Unfiltered answer restricted to surviving cells, on every path.
+
+    Returns the serial prefiltered run after checking that (a) its pairs
+    are exactly the unfiltered pairs whose page pair stays marked and
+    (b) a run with ``candidate_kwargs`` (workers, shard strategy,
+    granularity) reproduces it bit for bit.
+    """
+    unfiltered, _ = _run(r, s, epsilon, prefilter=None)
+    serial = _run(r, s, epsilon, prefilter=prefilter, keep_details=True)
+    matrix = serial[0].matrix
+    r_page, s_page = _page_of(r), _page_of(s)
+    surviving = {
+        (a, b)
+        for a, b in unfiltered.pairs
+        if matrix.is_marked(r_page(a), s_page(b))
+    }
+    assert set(serial[0].pairs) == surviving
+    assert serial[0].report.extra["prefilter"]["cells_unmarked"] > 0
+    _assert_identical(serial, _run(r, s, epsilon, prefilter=prefilter, **candidate_kwargs))
+    return serial[0]
 
 
 @pytest.fixture(scope="module")
@@ -105,79 +135,54 @@ def text_pair():
 
 
 class TestExactModeIdentity:
-    """Every joiner kind × workers × serial/sharded, vs prefilter=None."""
+    """Every joiner kind × workers × serial/sharded × granularity: the
+    prefiltered join is exactly the unfiltered one minus unmarked cells."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_vector_join(self, vector_pair, workers):
         r, s = vector_pair
-        baseline = _run(r, s, 0.05, prefilter=None, workers=workers)
-        exact = _run(r, s, 0.05, prefilter="exact", workers=workers)
-        _assert_identical(baseline, exact)
-        assert baseline[0].num_pairs > 0
+        result = _check_prefilter(r, s, 0.05, workers=workers)
+        assert result.num_pairs > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_series_join(self, series_pair, workers):
         r, s = series_pair
-        baseline = _run(r, s, 0.5, prefilter=None, workers=workers)
-        exact = _run(r, s, 0.5, prefilter="exact", workers=workers)
-        _assert_identical(baseline, exact)
+        _check_prefilter(r, s, 0.5, workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dtw_join(self, dtw_pair, workers):
         r, s = dtw_pair
-        baseline = _run(r, s, 0.6, prefilter=None, workers=workers)
-        exact = _run(r, s, 0.6, prefilter="exact", workers=workers)
-        _assert_identical(baseline, exact)
-        assert baseline[0].num_pairs > 0
+        result = _check_prefilter(r, s, 0.6, workers=workers)
+        assert result.num_pairs > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_text_join(self, text_pair, workers):
         r, s = text_pair
-        baseline = _run(r, s, 1.0, prefilter=None, workers=workers)
-        exact = _run(r, s, 1.0, prefilter="exact", workers=workers)
-        _assert_identical(baseline, exact)
+        _check_prefilter(r, s, 1.0, workers=workers)
 
     @pytest.mark.parametrize("shard_strategy", ["affinity", "chunk"])
     def test_sharded_vector_join(self, vector_pair, shard_strategy):
         r, s = vector_pair
-        baseline = _run(r, s, 0.05, prefilter=None)
-        exact = _run(
-            r, s, 0.05, prefilter="exact", workers=2,
-            shard_strategy=shard_strategy,
-        )
-        _assert_identical(baseline, exact)
+        _check_prefilter(r, s, 0.05, workers=2, shard_strategy=shard_strategy)
 
     def test_sharded_text_join(self, text_pair):
         r, s = text_pair
-        baseline = _run(r, s, 1.0, prefilter=None)
-        exact = _run(
-            r, s, 1.0, prefilter="exact", workers=2, shard_strategy="affinity"
-        )
-        _assert_identical(baseline, exact)
+        _check_prefilter(r, s, 1.0, workers=2, shard_strategy="affinity")
 
     def test_self_join(self, vector_pair):
         r, _ = vector_pair
-        baseline = _run(r, r, 0.03, prefilter=None)
-        exact = _run(r, r, 0.03, prefilter="exact")
-        _assert_identical(baseline, exact)
-        assert all(a < b for a, b in exact[0].pairs)
+        result = _check_prefilter(r, r, 0.03, workers=2)
+        assert all(a < b for a, b in result.pairs)
 
     def test_per_pair_path_identity(self, vector_pair):
-        # batch_pairs=1 exercises the wrapper's __call__ delegation: the
-        # per-pair path must not be reordered (entry order drives buffer
-        # recency), so it stays identical by *not* touching the order.
         r, s = vector_pair
-        baseline = _run(r, s, 0.05, prefilter=None, batch_pairs=1)
-        exact = _run(r, s, 0.05, prefilter="exact", batch_pairs=1)
-        _assert_identical(baseline, exact)
+        _check_prefilter(r, s, 0.05, batch_pairs=1)
 
     def test_exact_config_object(self, vector_pair):
         r, s = vector_pair
-        baseline = _run(r, s, 0.05, prefilter=None)
-        exact = _run(
-            r, s, 0.05, prefilter=PrefilterConfig(mode="exact", num_hashes=4)
-        )
-        _assert_identical(baseline, exact)
+        config = PrefilterConfig(recall_target=0.95, num_hashes=4)
+        result = _check_prefilter(r, s, 0.05, prefilter=config, workers=2)
+        assert result.report.extra["prefilter"]["mode"] == "approximate"
 
     def test_subsequence_join_forwards_prefilter(self):
         from repro.sequence.subjoin import subsequence_join
@@ -188,26 +193,37 @@ class TestExactModeIdentity:
             buffer_pages=16, windows_per_page=32,
         )
         baseline = subsequence_join(dna, None, **kwargs)
-        exact = subsequence_join(dna, None, prefilter="exact", **kwargs)
-        assert sorted(exact.offsets) == sorted(baseline.offsets)
-        assert exact.report.page_reads == baseline.report.page_reads
-        assert exact.report.extra["prefilter"]["cells_unmarked"] == 0
-        approx = subsequence_join(
+        approx = subsequence_join(dna, None, prefilter="approximate", **kwargs)
+        assert approx.report.extra["prefilter"]["mode"] == "approximate"
+        assert approx.report.extra["prefilter"]["cells_scored"] > 0
+        assert set(approx.offsets) <= set(baseline.offsets)
+        configured = subsequence_join(
             dna, None, prefilter=PrefilterConfig(recall_target=0.99), **kwargs
         )
-        assert set(approx.offsets) <= set(baseline.offsets)
+        assert configured.offsets == approx.offsets
 
 
 class TestPrefilterValidation:
     def test_rejected_for_competitor_methods(self, vector_pair):
         r, s = vector_pair
         with pytest.raises(ValueError, match="prefilter"):
-            join(r, s, 0.05, method="nlj", buffer_pages=10, prefilter="exact")
+            join(r, s, 0.05, method="nlj", buffer_pages=10, prefilter="approximate")
 
     def test_rejected_for_unknown_mode(self, vector_pair):
         r, s = vector_pair
         with pytest.raises(ValueError, match="prefilter"):
             join(r, s, 0.05, buffer_pages=10, prefilter="fuzzy")
+
+    def test_exact_mode_removed(self, vector_pair):
+        # "exact" is not a mode: asking for it must fail loudly rather
+        # than silently run the approximate cascade.
+        r, s = vector_pair
+        with pytest.raises(ValueError, match="prefilter"):
+            join(r, s, 0.05, buffer_pages=10, prefilter="exact")
+        with pytest.raises(TypeError, match="mode"):
+            PrefilterConfig(mode="exact")
+        with pytest.raises(TypeError, match="mode"):
+            PrefilterConfig(mode="approximate")
 
     def test_rejected_for_wrong_type(self, vector_pair):
         r, s = vector_pair
@@ -218,19 +234,20 @@ class TestPrefilterValidation:
 class TestPrefilterTelemetry:
     def test_prefilter_counters_and_span_present(self, vector_pair):
         r, s = vector_pair
-        result, rec = _run(r, s, 0.05, prefilter="exact")
+        result, rec = _run(r, s, 0.05, prefilter="approximate")
         counters = rec.metrics_snapshot()["counters"]
         assert counters["prefilter.cells_scored"] > 0
-        assert counters["prefilter.cells_unmarked"] == 0
+        assert counters["prefilter.cells_unmarked"] > 0
         assert counters["prefilter.sketch_builds"] == 2
         spans = [s.name for s in rec.spans]
         assert "join.prefilter" in spans
         stage_seconds = result.report.extra["stage_seconds"]
         assert stage_seconds["prefilter"] > 0.0
         info = result.report.extra["prefilter"]
-        assert info["mode"] == "exact"
-        assert info["cells_unmarked"] == 0
-        assert info["est_recall"] == 1.0
+        assert info["mode"] == "approximate"
+        assert info["cells_scored"] == counters["prefilter.cells_scored"]
+        assert info["cells_unmarked"] == counters["prefilter.cells_unmarked"]
+        assert 0.0 < info["est_recall"] <= 1.0
 
     def test_no_prefilter_keys_without_prefilter(self, vector_pair):
         r, s = vector_pair
@@ -240,22 +257,20 @@ class TestPrefilterTelemetry:
         assert "prefilter" not in result.report.extra
         assert result.report.extra["stage_seconds"]["prefilter"] == 0.0
 
-    def test_sharded_reorder_counter_merges_to_serial_total(self, vector_pair):
-        # prefilter.* counters are NOT sharding-variant: each worker
-        # reports its shard's reordered clusters and the parent's merge
-        # must sum to the serial total.
+    def test_sharded_counters_match_serial(self, vector_pair):
+        # prefilter.* counters are NOT sharding-variant: the parent plans
+        # the prefilter before execution, whichever executor runs.
         r, s = vector_pair
-        _, serial_rec = _run(r, s, 0.05, prefilter="exact")
+        _, serial_rec = _run(r, s, 0.05, prefilter="approximate")
         _, sharded_rec = _run(
-            r, s, 0.05, prefilter="exact", workers=2, shard_strategy="affinity"
+            r, s, 0.05, prefilter="approximate", workers=2,
+            shard_strategy="affinity",
         )
-        serial = serial_rec.metrics_snapshot()["counters"]
-        sharded = sharded_rec.metrics_snapshot()["counters"]
-        assert serial["prefilter.reordered_clusters"] > 0
-        assert (
-            sharded["prefilter.reordered_clusters"]
-            == serial["prefilter.reordered_clusters"]
-        )
-        # Parent-side planning counters are unaffected by sharding too.
-        for name in ("prefilter.cells_scored", "prefilter.cells_unmarked"):
-            assert sharded[name] == serial[name]
+
+        def prefilter_counters(rec):
+            counters = rec.metrics_snapshot()["counters"]
+            return {k: v for k, v in counters.items() if k.startswith("prefilter.")}
+
+        serial = prefilter_counters(serial_rec)
+        assert serial["prefilter.cells_unmarked"] > 0
+        assert prefilter_counters(sharded_rec) == serial

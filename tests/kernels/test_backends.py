@@ -1,6 +1,4 @@
-"""Kernel-backend registry: selection precedence, eager validation,
-and the optional-numba registration contract (ISSUE 8 tentpole +
-satellites 1/2).
+"""Kernel-backend registry: selection precedence and eager validation.
 
 The registry is the single switch point for the refinement kernel
 substrate: ``REPRO_KERNEL_BACKEND`` < ``join(kernel_backend=)`` <
@@ -20,7 +18,6 @@ from repro.kernels.backends import (
     NumpyKernelBackend,
     WavefrontKernelBackend,
     get_backend,
-    numba_available,
     register_backend,
     registered_backends,
     resolve_backend,
@@ -46,14 +43,6 @@ class TestRegistry:
         assert "fortran" in message
         assert "numpy" in message
         assert "wavefront" in message
-
-    def test_optional_backend_hint_when_absent(self):
-        if numba_available():
-            pytest.skip("numba installed; the miss hint is unreachable")
-        with pytest.raises(ConfigError) as excinfo:
-            get_backend("numba")
-        assert "numba" in str(excinfo.value)
-        assert "optional" in str(excinfo.value)
 
     def test_cupy_recipe_hint(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -125,41 +114,6 @@ class TestJoinValidation:
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "nonexistent")
         with pytest.raises(ConfigError):
             join(r, s, 0.05, buffer_pages=10)
-
-
-class TestNumbaBackend:
-    """Runs only where the optional dependency is installed (CI extra)."""
-
-    pytestmark = pytest.mark.skipif(
-        not numba_available(), reason="optional numba dependency not installed"
-    )
-
-    def test_numba_registered(self):
-        assert "numba" in registered_backends()
-
-    def test_numba_dtw_bitwise_vs_numpy(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(40, 24))
-        b = a + rng.normal(scale=0.3, size=a.shape)
-        oracle = get_backend("numpy")
-        candidate = get_backend("numba")
-        for max_dist in (None, 0.0, 2.5):
-            expected = oracle.dtw_chunk(a, b, 3, max_dist)
-            got = candidate.dtw_chunk(a, b, 3, max_dist)
-            assert np.array_equal(got[0], expected[0])
-            assert got[1] == expected[1]
-
-    def test_numba_edit_bitwise_vs_numpy(self):
-        rng = np.random.default_rng(12)
-        a = rng.integers(0, 4, size=(30, 16)).astype(np.uint8)
-        b = rng.integers(0, 4, size=(30, 16)).astype(np.uint8)
-        oracle = get_backend("numpy")
-        candidate = get_backend("numba")
-        for limit in (0, 2, 7):
-            expected = oracle.edit_chunk(a, b, limit)
-            got = candidate.edit_chunk(a, b, limit)
-            assert np.array_equal(got[0], expected[0])
-            assert got[1] == expected[1]
 
 
 class TestPanelHooks:

@@ -28,8 +28,7 @@ from repro.kernels import (
     registered_backends,
 )
 
-# Every registered backend must pass the bit-identity suite — numba
-# joins the list automatically when its optional dependency is present.
+# Every registered backend must pass the bit-identity suite.
 BACKENDS = sorted(registered_backends())
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)

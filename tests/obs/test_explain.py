@@ -261,7 +261,7 @@ class TestExplainSharded:
         serial_rec, sharded_rec = InMemoryRecorder(), InMemoryRecorder()
         kwargs = dict(
             method="sc", buffer_pages=10, explain=True,
-            prefilter=PrefilterConfig(mode="exact"),
+            prefilter=PrefilterConfig(),
         )
         serial = join(r, s, 0.05, recorder=serial_rec, **kwargs)
         sharded = join(

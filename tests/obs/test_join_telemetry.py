@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.join import join
-from repro.obs import InMemoryRecorder, LemmaAuditor, lemma_bound
+from repro.obs import (
+    SHARDING_VARIANT_COUNTER_PREFIXES,
+    InMemoryRecorder,
+    LemmaAuditor,
+    lemma_bound,
+)
 
 STAGE_SPANS = {
     "matrix": "join.matrix",
@@ -112,7 +117,15 @@ class TestCounterParity:
             join(r, s, 0.05, method=method, buffer_pages=10,
                  workers=workers, recorder=rec)
             counters.append(rec.metrics_snapshot()["counters"])
-        assert counters[0] == counters[1]
+        # workers > 1 runs shard processes, which add only the
+        # per-shard attribution family on top of the serial counters.
+        assert counters[1]["executor.shards"] == 3
+        sharded = {
+            name: value
+            for name, value in counters[1].items()
+            if not name.startswith(SHARDING_VARIANT_COUNTER_PREFIXES)
+        }
+        assert sharded == counters[0]
 
     def test_disk_and_buffer_counters_match_stats(self, vector_pair):
         r, s = vector_pair

@@ -295,6 +295,22 @@ class TestRecorderMerge:
         assert names["outer"].attrs["shard"] == 1
         assert "shard" not in names["parent.work"].attrs
 
+    def test_merged_threads_get_their_own_tracks(self):
+        # Shard workers are forked: their main thread has the parent's
+        # ident, and two shards run at once.  Each merged recorder's
+        # threads must land on a track of their own.
+        a, b, c = InMemoryRecorder(), InMemoryRecorder(), InMemoryRecorder()
+        for rec, name in ((a, "parent"), (b, "shard0"), (c, "shard1")):
+            with rec.span(name):
+                with rec.span(name + ".child"):
+                    pass
+        a.merge(b.export_state(), span_attrs={"shard": 0})
+        a.merge(c.export_state(), span_attrs={"shard": 1})
+        threads = {sp.name: sp.thread_id for sp in a.spans}
+        assert len({threads["parent"], threads["shard0"], threads["shard1"]}) == 3
+        assert threads["shard0"] == threads["shard0.child"]
+        assert threads["shard1"] == threads["shard1.child"]
+
     def test_merge_accepts_exported_state(self):
         a, b = InMemoryRecorder(), InMemoryRecorder()
         b.count("n", 2)

@@ -56,6 +56,12 @@ class TestTextSubsequenceJoin:
         with pytest.raises(TypeError):
             subsequence_join("ACGT" * 10, np.arange(50.0), window_length=4, epsilon=1)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            subsequence_join("ACGT" * 10, None, window_length=4, epsilon=epsilon,
+                             buffer_pages=4, windows_per_page=2)
+
 
 class TestNumericSubsequenceJoin:
     def test_matches_brute_force(self, rng):

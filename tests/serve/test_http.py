@@ -217,3 +217,72 @@ class TestErrorMapping:
             lease.release()
         assert status == 429
         assert "error" in body
+
+
+class TestInputGuards:
+    def test_non_finite_epsilon_is_400(self, server):
+        _call(
+            server,
+            "POST",
+            "/datasets",
+            {
+                "id": "g",
+                "kind": "text",
+                "text": markov_dna(1200, seed=6),
+                "window_length": 48,
+            },
+        )
+        # json.dumps writes NaN / Infinity literals, which Python's json
+        # parser on the server side accepts.
+        for epsilon in (float("nan"), float("inf")):
+            status, body = _call(
+                server, "POST", "/join", {"r": "g", "epsilon": epsilon}
+            )
+            assert status == 400
+            assert "epsilon" in body["error"]
+
+    def test_non_finite_vectors_are_400(self, server):
+        vectors = np.random.default_rng(0).random((50, 2)).tolist()
+        vectors[7][1] = float("nan")
+        status, body = _call(
+            server,
+            "POST",
+            "/datasets",
+            {"id": "v", "kind": "vector", "vectors": vectors, "page_capacity": 8},
+        )
+        assert status == 400
+        assert "finite" in body["error"]
+        assert _call(server, "GET", "/datasets")[1]["datasets"] == []
+
+    def test_workers_other_than_one_is_400(self, server):
+        _call(
+            server,
+            "POST",
+            "/datasets",
+            {
+                "id": "g",
+                "kind": "text",
+                "text": markov_dna(1200, seed=6),
+                "window_length": 48,
+            },
+        )
+        status, body = _call(
+            server, "POST", "/join", {"r": "g", "epsilon": 1.0, "workers": 2}
+        )
+        assert status == 400
+        assert "workers" in body["error"]
+        status, _ = _call(
+            server, "POST", "/join", {"r": "g", "epsilon": 1.0, "workers": 1}
+        )
+        assert status == 200
+
+    def test_oversized_body_is_413(self, server, monkeypatch):
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "MAX_BODY_BYTES", 64)
+        status, body = _call(
+            server, "POST", "/datasets", {"id": "x", "kind": "text", "text": "A" * 100}
+        )
+        assert status == 413
+        assert "64-byte limit" in body["error"]
+        assert _call(server, "GET", "/healthz")[0] == 200

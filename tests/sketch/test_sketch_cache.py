@@ -131,7 +131,7 @@ class TestAtomicity:
         assert load_sketches(tmp_path, "k1") is not None
 
     def test_corrupt_entry_join_rebuilds_as_miss(self, tmp_path, dataset):
-        config = PrefilterConfig(mode="exact")
+        config = PrefilterConfig()
         cold = join(
             dataset, dataset, 0.05, method="sc", buffer_pages=16,
             matrix_cache=tmp_path, prefilter=config,
@@ -181,7 +181,7 @@ def _save_worker(sketches, directory, key):
 class TestJoinWithSketchCache:
     def test_second_join_hits_for_both_sides(self, tmp_path, dataset, rng):
         other = IndexedDataset.from_points(rng.random((250, 4)), page_capacity=16)
-        config = PrefilterConfig(mode="exact")
+        config = PrefilterConfig()
         rec_cold, rec_warm = InMemoryRecorder(), InMemoryRecorder()
         cold = join(
             dataset, other, 0.05, method="sc", buffer_pages=16,
@@ -203,7 +203,7 @@ class TestJoinWithSketchCache:
         rec = InMemoryRecorder()
         join(
             dataset, dataset, 0.05, method="sc", buffer_pages=16,
-            matrix_cache=tmp_path, prefilter="exact", recorder=rec,
+            matrix_cache=tmp_path, prefilter="approximate", recorder=rec,
         )
         counters = rec.metrics_snapshot()["counters"]
         assert counters["prefilter.sketch_builds"] == 1
@@ -213,7 +213,7 @@ class TestJoinWithSketchCache:
         for rec in (rec1, rec2):
             join(
                 dataset, dataset, 0.05, method="sc", buffer_pages=16,
-                prefilter="exact", recorder=rec,
+                prefilter="approximate", recorder=rec,
             )
         for rec in (rec1, rec2):
             counters = rec.metrics_snapshot()["counters"]
