@@ -38,8 +38,11 @@ def _orders():
 def _pages_read(r, s, ordered):
     disk = SimulatedDisk()
     pool = BufferPool(disk, BUFFER)
-    noop = lambda row, col, pr, ps: ([], 0, 0, 0.0)
-    outcome = execute_clusters(ordered, pool, r.paged, s.paged, noop)
+    class NoopJoiner:  # I/O accounting only
+        def join_cluster(self, entries):
+            return [([], 0, 0, 0.0) for _ in entries]
+
+    outcome = execute_clusters(ordered, pool, r.paged, s.paged, NoopJoiner())
     return outcome.pages_read, disk.stats.io_seconds
 
 

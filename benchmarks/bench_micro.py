@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 
 from repro.core.costcluster import cost_clustering
-from repro.core.join import IndexedDataset, join
+from repro.core.executor import ExecutionOutcome, execute_clusters
+from repro.core.join import IndexedDataset, _make_joiner, join
 from repro.core.square import square_clustering
 from repro.core.sweep import build_prediction_matrix
 from repro.core.sweep_reference import build_prediction_matrix_reference
+from repro.costmodel import DEFAULT_COST_MODEL
 from repro.datasets import markov_dna, road_intersections
 from repro.datasets.landsat import landsat_like
 from repro.distance.dtw import dtw_distance
@@ -42,6 +44,8 @@ from repro.experiments.figures import (
 from repro.index.rstar import RStarTree, build_spatial_page_index
 from repro.kernels import dtw_batch, edit_batch, encode_strings, minkowski_pairs
 from repro.obs import NULL_RECORDER
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import SimulatedDisk
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -379,39 +383,69 @@ def test_matrix_build_speedup(record_json):
     assert rows["64"]["speedup"] >= 2.0
 
 
-# -- end-to-end join: mega-batch vs per-pair execution (ISSUE 5) -------------------
+# -- join execution: mega-batch vs per-pair over one schedule --------------------
 #
-# Full join() wall clock on Figure-10/11-style configs, cluster-granular
-# mega-batch (the default) against the classic per-page-pair path
-# (batch_pairs=1).  Both paths produce bit-identical pairs and simulated
-# accounting — pinned by tests/core/test_megabatch_equivalence.py — so
-# the only difference the bench can see is wall clock.
+# The execution stage of join() on Figure-10/11-style configs: the
+# cluster executor's mega-batch cascade against a bench-side reference
+# arm that stages each cluster and calls the joiner once per marked page
+# pair, over the same SC schedule.  Both arms produce bit-identical pairs
+# and simulated accounting — pinned by
+# tests/core/test_megabatch_equivalence.py — so the only difference the
+# bench can see is wall clock.  Matrix, clustering and scheduling run
+# once, outside both timings.
 
 
-def _join_e2e_runs(r, s, epsilon, buffer_pages, batch_pairs, repeats):
-    """Best-of-N wall clock and execution-stage seconds, plus one result."""
-    best_total, best_exec, result = float("inf"), float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = join(
-            r, s, epsilon, method="sc", buffer_pages=buffer_pages,
-            batch_pairs=batch_pairs,
-        )
-        best_total = min(best_total, time.perf_counter() - t0)
-        best_exec = min(
-            best_exec, result.report.extra["stage_seconds"]["execution"]
-        )
-    return best_total, best_exec, result
+def _execute_per_pair(ordered, pool, r_paged, s_paged, joiner):
+    """Reference arm: stage each cluster, then join page pair by page pair."""
+    pool.attach(r_paged)
+    pool.attach(s_paged)
+    r_id, s_id = r_paged.dataset_id, s_paged.dataset_id
+    outcome = ExecutionOutcome()
+    for cluster in ordered:
+        pool.load_batch(sorted(cluster.page_keys(r_id, s_id)))
+        for row, col in cluster.entries:
+            r_payload = pool.fetch(r_id, row)
+            s_payload = pool.fetch(s_id, col)
+            outcome.absorb(joiner(row, col, r_payload, s_payload))
+    return outcome
+
+
+def _timed_execution(r, s, epsilon, buffer_pages, ordered, execute):
+    """One arm run: ``(total_seconds, exec_seconds, outcome, disk_stats)``.
+
+    The total covers a fresh disk, pool and joiner plus execution; the
+    exec time covers the execution call alone.
+    """
+    t0 = time.perf_counter()
+    disk = SimulatedDisk(DEFAULT_COST_MODEL)
+    pool = BufferPool(disk, buffer_pages)
+    joiner = _make_joiner(r, s, epsilon, DEFAULT_COST_MODEL, r is s, True)
+    t1 = time.perf_counter()
+    outcome = execute(ordered, pool, r.paged, s.paged, joiner)
+    t2 = time.perf_counter()
+    return t2 - t0, t2 - t1, outcome, disk.stats
 
 
 def _join_e2e_row(r, s, epsilon, buffer_pages, repeats):
-    per_s, per_exec, per = _join_e2e_runs(r, s, epsilon, buffer_pages, 1, repeats)
-    mega_s, mega_exec, mega = _join_e2e_runs(
-        r, s, epsilon, buffer_pages, None, repeats
-    )
+    """Best-of-N per arm; the arms alternate so host drift hits both."""
+    ordered = join(
+        r, s, epsilon, method="sc", buffer_pages=buffer_pages, keep_details=True
+    ).clusters
+    arms = {"per_pair": _execute_per_pair, "megabatch": execute_clusters}
+    best = {name: [float("inf"), float("inf")] for name in arms}
+    runs = {}
+    for _ in range(repeats):
+        for name, execute in arms.items():
+            total, exec_s, outcome, stats = _timed_execution(
+                r, s, epsilon, buffer_pages, ordered, execute
+            )
+            best[name] = [min(best[name][0], total), min(best[name][1], exec_s)]
+            runs[name] = (outcome, stats)
+    (per, per_stats), (mega, mega_stats) = runs["per_pair"], runs["megabatch"]
     assert mega.pairs == per.pairs
-    assert mega.report.page_reads == per.report.page_reads
-    assert mega.report.seeks == per.report.seeks
+    assert mega_stats.transfers == per_stats.transfers
+    assert mega_stats.seeks == per_stats.seeks
+    (per_s, per_exec), (mega_s, mega_exec) = best["per_pair"], best["megabatch"]
     return {
         "workers": 1,
         "per_pair_seconds": per_s,
@@ -425,7 +459,7 @@ def _join_e2e_row(r, s, epsilon, buffer_pages, repeats):
 
 
 def test_join_e2e_speedup(record_json):
-    """Mega-batch vs per-pair full-join wall clock, Figure 10/11 style.
+    """Mega-batch vs per-pair execution wall clock, Figure 10/11 style.
 
     The spatial row is the Figure 10 shape (LBeach × MCounty stand-ins,
     B preserving the paper's buffer-to-page ratio) at a reduced scale
@@ -434,7 +468,7 @@ def test_join_e2e_speedup(record_json):
     the headline gate; the genome join is frequency-filter-bound (equal
     FLOPs on both paths), so its expected factor is smaller.
     """
-    repeats = 1 if QUICK else 2
+    repeats = 1 if QUICK else 3
     r, s = lbeach_mcounty(0.5, seed=0)
     buffer_pages = buffers_from_fractions(
         r.num_pages, [25 / PAPER_PAGES["lbeach"]], minimum=SPATIAL_BUFFER
@@ -492,7 +526,7 @@ def _sharded_row(r, s, epsilon, buffer_pages, workers, repeats):
 
 
 def test_sharded_join_speedup(record_json):
-    repeats = 1 if QUICK else 2
+    repeats = 1 if QUICK else 3
     r, s = lbeach_mcounty(0.5, seed=0)
     buffer_pages = buffers_from_fractions(
         r.num_pages, [25 / PAPER_PAGES["lbeach"]], minimum=SPATIAL_BUFFER
@@ -813,15 +847,16 @@ def _set_based_closure(row_blocks, col_blocks, model):
 
 
 def test_clustering_pipeline_speedup(record_json):
-    """Vectorised clustering pipeline vs the frozen scalar references.
+    """Production clustering pipeline vs the frozen scalar references.
 
     Every timed pair also asserts bit-identical output (cluster entries,
     stats counters, schedule order), so the speedups compare equivalent
     work.  The headline metric is the CC-pipeline composite (cost
     clustering + greedy scheduling, the paper's flagship path) on a dense
-    matrix; SC speedups are gated too: the density/size crossover in
-    ``square_clustering`` dispatches tiny-cluster workloads to a scalar
-    sweep, so small-B SC must no longer regress below parity.
+    matrix; SC speedups are gated too, so neither the small-B nor the
+    fully marked large-B shape may regress below parity.  The
+    ``vectorized_seconds`` key names the production implementation's
+    time (for SC, the one dict-based sweep).
     """
     from repro.core.clusters_reference import (
         cost_clustering_reference,
@@ -830,7 +865,6 @@ def test_clustering_pipeline_speedup(record_json):
     )
     from repro.core.costcluster import LinearDiskModelCost
     from repro.core.schedule import greedy_cluster_order
-    from repro.costmodel import DEFAULT_COST_MODEL
 
     # Same workload in QUICK mode (fewer repeats only): the regression
     # gate compares CI's QUICK speedups against the committed full-run

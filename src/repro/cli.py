@@ -163,13 +163,10 @@ def _add_join(subcommands) -> None:
                           "trace-event JSON (open in Perfetto)")
     cmd.add_argument("--workers", type=int, default=1,
                      help="worker processes for cluster execution "
-                          "(sc/rand-sc/cc methods); 1 runs serially. Results "
-                          "and simulated I/O are identical to serial")
-    cmd.add_argument("--shard-strategy", default=None,
-                     choices=["affinity", "chunk", "roundrobin"],
-                     help="how clusters are partitioned across the worker "
-                          "processes over shared-memory page blocks "
-                          "(default: affinity when --workers > 1)")
+                          "(sc/rand-sc/cc methods); 1 runs serially, more "
+                          "run affinity-balanced shards over shared-memory "
+                          "page blocks. Results and simulated I/O are "
+                          "identical to serial")
     cmd.add_argument("--prefilter", default=None,
                      choices=["approximate"],
                      help="sketch prefilter cascade: unmark cells whose "
@@ -243,7 +240,6 @@ def _run_join(args) -> int:
             count_only=args.pairs_out is None,
             recorder=recorder,
             workers=args.workers,
-            shard_strategy=args.shard_strategy,
             prefilter=prefilter,
             kernel_backend=args.kernel_backend,
             explain=args.explain_out is not None,

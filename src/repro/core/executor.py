@@ -7,18 +7,16 @@ For each cluster in schedule order (Section 8):
 2. every marked entry of the cluster is joined entirely in memory (its two
    pages are guaranteed resident because ``r + c <= B``).
 
-Step 2 runs at one of two granularities.  The default is the
-*mega-batch*: once the cluster's ``r + c`` pages are staged (pinned for
-the duration — :meth:`~repro.storage.buffer.BufferPool.pinned`), all of
-its marked page pairs are joined by a single fused cascade over the
-datasets' columnar page views
-(:meth:`~repro.core.joiners.PagePairJoiner.join_cluster` — one filter
-kernel call and one refine kernel call per cluster instead of one per
-page pair).  ``batch_pairs=1`` selects the classic per-pair granularity;
-joiners that are plain callables (no ``join_cluster``) always run per
-pair.  Both granularities produce bit-identical results and accounting —
-pairs (order included), comparisons, modeled CPU, page reads/reuse,
-buffer hits and Lemma audits; only kernel *invocation* counts differ
+Step 2 is the *mega-batch*: once the cluster's ``r + c`` pages are
+staged (pinned for the duration —
+:meth:`~repro.storage.buffer.BufferPool.pinned`), all of its marked page
+pairs are joined by a single fused cascade over the datasets' columnar
+page views (:meth:`~repro.core.joiners.PagePairJoiner.join_cluster` —
+one filter kernel call and one refine kernel call per cluster), following
+Gowanlock & Karsin's batched self-join.  Results and accounting are
+bit-identical to calling the joiner once per page pair — pairs (order
+included), comparisons, modeled CPU, page reads/reuse, buffer hits and
+Lemma audits; only kernel *invocation* counts differ
 (``repro.obs.recorder.BATCHING_VARIANT_COUNTERS``).
 
 Parallelism comes from worker *processes*
@@ -42,9 +40,10 @@ for the decision table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.clusters import Cluster
+from repro.core.joiners import JoinerResult, PagePairJoiner
 from repro.obs.audit import LemmaAuditor
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.storage.buffer import BufferPool
@@ -54,14 +53,6 @@ __all__ = [
     "execute_clusters",
     "execute_clusters_sharded",
     "ExecutionOutcome",
-    "PagePairJoin",
-]
-
-# join(r_page, s_page, r_payload, s_payload) ->
-#   (pairs collected, total pair count, comparisons counted, cpu seconds)
-PagePairJoin = Callable[
-    [int, int, object, object],
-    Tuple[List[Tuple[int, int]], int, int, float],
 ]
 
 
@@ -76,7 +67,7 @@ class ExecutionOutcome:
     pages_read: int = 0
     pages_reused: int = 0
 
-    def absorb(self, result: Tuple[List[Tuple[int, int]], int, int, float]) -> None:
+    def absorb(self, result: JoinerResult) -> None:
         """Fold one joiner result into the running totals."""
         pairs, count, comparisons, cpu_seconds = result
         self.pairs.extend(pairs)
@@ -90,24 +81,18 @@ def execute_clusters(
     pool: BufferPool,
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
-    page_pair_join: PagePairJoin,
+    page_pair_join: PagePairJoiner,
     recorder: Recorder = NULL_RECORDER,
-    batch_pairs: Optional[int] = None,
     auditor: Optional[LemmaAuditor] = None,
 ) -> ExecutionOutcome:
     """Process clusters in the given order; returns the measured outcome.
 
-    ``auditor`` overrides the Lemma auditor (the EXPLAIN layer passes a
-    record-keeping one so per-cluster bound/observed rows survive the
-    run); by default one is created whenever the recorder records.
-
-    ``batch_pairs`` sets the join granularity: ``None`` (default) joins
-    every marked pair of a cluster in one mega-batch cascade and ``1``
-    selects the classic per-page-pair path; any other value raises
-    ``ValueError``.  The granularity never changes the result or the
-    simulated accounting (see the module docstring); joiners without
-    cluster support silently run per pair.  For process-level
-    parallelism use :func:`execute_clusters_sharded`.
+    Each cluster is staged and then joined in one mega-batch cascade
+    (``page_pair_join.join_cluster``).  ``auditor`` overrides the Lemma
+    auditor (the EXPLAIN layer passes a record-keeping one so per-cluster
+    bound/observed rows survive the run); by default one is created
+    whenever the recorder records.  For process-level parallelism use
+    :func:`execute_clusters_sharded`.
 
     With a recording ``recorder``, each cluster is additionally audited
     against the paper's Lemma 1/2 read bounds: the disk-transfer delta
@@ -117,7 +102,6 @@ def execute_clusters(
     Raises ``ValueError`` if any cluster does not fit the pool's available
     frames (Lemma 2's precondition — clustering must have enforced it).
     """
-    _check_batch_pairs(batch_pairs)
     pool.attach(r_dataset)
     pool.attach(s_dataset)
     outcome = ExecutionOutcome()
@@ -126,27 +110,17 @@ def execute_clusters(
     if auditor is None and recorder.enabled:
         auditor = LemmaAuditor(recorder)
     disk_stats = pool.disk.stats
-    use_megabatch = batch_pairs is None and getattr(
-        page_pair_join, "supports_megabatch", False
-    )
     for index, cluster in enumerate(ordered_clusters):
         transfers_before = disk_stats.transfers
         with recorder.span("execute.cluster"):
-            if use_megabatch:
-                _stage_cluster_pinned(cluster, pool, r_id, s_id, outcome)
-                for result in page_pair_join.join_cluster(cluster.entries):
-                    outcome.absorb(result)
-            else:
-                _stage_cluster_pages(cluster, pool, r_id, s_id, outcome)
-                for row, col in cluster.entries:
-                    r_payload = pool.fetch(r_id, row)
-                    s_payload = pool.fetch(s_id, col)
-                    outcome.absorb(page_pair_join(row, col, r_payload, s_payload))
+            _stage_cluster(cluster, pool, r_id, s_id, outcome)
+            for result in page_pair_join.join_cluster(cluster.entries):
+                outcome.absorb(result)
         if auditor is not None:
             auditor.check_cluster(
                 cluster, disk_stats.transfers - transfers_before, index
             )
-    _count_executor_totals(recorder, outcome, len(ordered_clusters), use_megabatch)
+    _count_executor_totals(recorder, outcome, len(ordered_clusters))
     return outcome
 
 
@@ -155,10 +129,9 @@ def execute_clusters_sharded(
     pool: BufferPool,
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
-    page_pair_join: PagePairJoin,
+    page_pair_join: PagePairJoiner,
     workers: int = 2,
     recorder: Recorder = NULL_RECORDER,
-    batch_pairs: Optional[int] = None,
     shard_strategy="affinity",
     auditor: Optional[LemmaAuditor] = None,
     explain=None,
@@ -166,7 +139,7 @@ def execute_clusters_sharded(
     """Process clusters with per-shard worker *processes*; same outcome.
 
     The schedule is partitioned into at most ``workers`` shard-local
-    cluster sets (``shard_strategy``: a strategy name for
+    cluster sets (``shard_strategy``: ``"affinity"`` for
     :func:`repro.core.planner.plan_shards`, or a ready
     :class:`~repro.core.planner.ShardPlan` — property tests inject
     arbitrary partitions this way).  Workers rebuild the datasets from
@@ -182,13 +155,12 @@ def execute_clusters_sharded(
 
     Runs serially when shared memory is unavailable on the platform
     (counter ``executor.shard.fallback_serial``).  Raises ``ValueError``
-    for joiners without a picklable shard recipe (custom callables — run
+    for joiners without a picklable shard recipe (custom joiners — run
     those through :func:`execute_clusters`) and ``RuntimeError`` when a
     worker process dies or the start-method validation fails.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _check_batch_pairs(batch_pairs)
     from repro.core.sharding import (
         build_shard_task,
         resolve_start_method,
@@ -207,7 +179,7 @@ def execute_clusters_sharded(
         recorder.count("executor.shard.fallback_serial")
         return execute_clusters(
             ordered_clusters, pool, r_dataset, s_dataset, page_pair_join,
-            recorder=recorder, batch_pairs=batch_pairs, auditor=auditor,
+            recorder=recorder, auditor=auditor,
         )
     # Lazy import: planner imports core.join, which imports this module.
     from repro.core.planner import ShardPlan, plan_shards
@@ -227,11 +199,8 @@ def execute_clusters_sharded(
     outcome = ExecutionOutcome()
     r_id = r_dataset.dataset_id
     s_id = s_dataset.dataset_id
-    use_megabatch = batch_pairs is None and getattr(
-        page_pair_join, "supports_megabatch", False
-    )
     if not ordered_clusters:
-        _count_executor_totals(recorder, outcome, 0, use_megabatch)
+        _count_executor_totals(recorder, outcome, 0)
         return outcome
 
     start_method = resolve_start_method(plan.num_shards)
@@ -256,7 +225,6 @@ def execute_clusters_sharded(
                 s_spec,
                 page_pair_join,
                 arena,
-                batch_pairs,
                 recorder.enabled,
             )
             for shard_index, members in enumerate(plan.shards)
@@ -276,13 +244,7 @@ def execute_clusters_sharded(
                 reads_before = outcome.pages_read
                 reused_before = outcome.pages_reused
                 with recorder.span("execute.cluster"):
-                    if use_megabatch:
-                        _stage_cluster_pinned(cluster, pool, r_id, s_id, outcome)
-                    else:
-                        _stage_cluster_pages(cluster, pool, r_id, s_id, outcome)
-                        for row, col in cluster.entries:
-                            pool.fetch(r_id, row)
-                            pool.fetch(s_id, col)
+                    _stage_cluster(cluster, pool, r_id, s_id, outcome)
                 if auditor is not None:
                     auditor.check_cluster(
                         cluster, disk_stats.transfers - transfers_before, index
@@ -333,63 +295,41 @@ def execute_clusters_sharded(
         recorder.count(
             f"executor.shard.{shard_index}.pages_reused", shard_reused[shard_index]
         )
-    _count_executor_totals(recorder, outcome, len(ordered_clusters), use_megabatch)
+    _count_executor_totals(recorder, outcome, len(ordered_clusters))
     return outcome
 
 
 def _count_executor_totals(
-    recorder: Recorder,
-    outcome: ExecutionOutcome,
-    num_clusters: int,
-    use_megabatch: bool,
+    recorder: Recorder, outcome: ExecutionOutcome, num_clusters: int
 ) -> None:
     recorder.count("executor.clusters", num_clusters)
     recorder.count("executor.pages_read", outcome.pages_read)
     recorder.count("executor.pages_reused", outcome.pages_reused)
-    if use_megabatch:
-        recorder.count("executor.megabatch_clusters", num_clusters)
 
 
-def _check_batch_pairs(batch_pairs: Optional[int]) -> None:
-    if batch_pairs is not None and batch_pairs != 1:
-        raise ValueError(
-            f"batch_pairs must be None (mega-batch) or 1 (per pair), "
-            f"got {batch_pairs}"
-        )
-
-
-def _stage_cluster_pages(
+def _stage_cluster(
     cluster: Cluster,
     pool: BufferPool,
     r_id,
     s_id,
     outcome: ExecutionOutcome,
 ) -> None:
-    """Batched load of a cluster's page set, with reuse accounting."""
-    wanted = sorted(cluster.page_keys(r_id, s_id))
-    missing = pool.load_batch(wanted)
-    outcome.pages_read += len(missing)
-    outcome.pages_reused += len(wanted) - len(missing)
+    """Pin-scoped batched load of a cluster's page set, with reuse accounting.
 
-
-def _stage_cluster_pinned(
-    cluster: Cluster,
-    pool: BufferPool,
-    r_id,
-    s_id,
-    outcome: ExecutionOutcome,
-) -> None:
-    """Pin-scoped staging for the mega-batch path.
-
-    Identical read/hit accounting to :func:`_stage_cluster_pages` (the
-    pins are insurance against non-LRU victim choices, see
-    :meth:`~repro.storage.buffer.BufferPool.pinned`), followed by the
-    per-entry fetch replay: the mega-batch joiner reads objects through
-    the columnar page views, so the buffer hits the per-pair path's
-    fetches would have scored are replayed here — keeping hit counts and
-    replacement state bit-identical between granularities.
+    The pins are insurance against non-LRU victim choices (see
+    :meth:`~repro.storage.buffer.BufferPool.pinned`).  Staging is
+    followed by the per-entry fetch replay: the mega-batch joiner reads
+    objects through the columnar page views, so the buffer hits of one
+    fetch per page per marked entry — the paper's per-pair execution —
+    are replayed here, keeping hit counts and replacement state those of
+    the per-pair schedule.
     """
     wanted = sorted(cluster.page_keys(r_id, s_id))
+    if len(wanted) > pool.available:
+        raise ValueError(
+            f"cluster {cluster.cluster_id} of {len(wanted)} pages exceeds "
+            f"available buffer of {pool.available} frames"
+        )
     with pool.pinned(wanted) as staged:
         outcome.pages_read += len(staged.missing)
         outcome.pages_reused += len(wanted) - len(staged.missing)

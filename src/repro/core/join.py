@@ -291,13 +291,11 @@ def join(
     seed: int = 0,
     keep_details: bool = False,
     sc_target_aspect: float = 1.0,
-    cc_histogram_bins: int = 32,
     count_only: bool = False,
     buffer_policy: str = "lru",
     workers: int = 1,
     matrix_cache: "str | Path | None" = None,
     recorder: Optional[Recorder] = None,
-    batch_pairs: Optional[int] = None,
     shard_strategy=None,
     prefilter: "None | str | PrefilterConfig" = None,
     kernel_backend=None,
@@ -338,12 +336,11 @@ def join(
         are bit-identical to ``workers=1``.  See
         ``docs/execution_modes.md``.
     shard_strategy:
-        How the sharded executor partitions the schedule: a strategy
-        name (``"affinity"``, ``"chunk"``, ``"roundrobin"``) or a
-        prepared :class:`~repro.core.planner.ShardPlan`.  ``None``
-        (default) means ``"affinity"`` when ``workers > 1`` and serial
-        execution otherwise; setting it with ``workers=1`` runs one
-        shard process.
+        How the sharded executor partitions the schedule: ``"affinity"``
+        (see :func:`repro.core.planner.plan_shards`) or a prepared
+        :class:`~repro.core.planner.ShardPlan`.  ``None`` (default) means
+        ``"affinity"`` when ``workers > 1`` and serial execution
+        otherwise; setting it with ``workers=1`` runs one shard process.
     kernel_backend:
         The refinement-kernel substrate (see
         :mod:`repro.kernels.backends`): a registered backend name
@@ -375,13 +372,6 @@ def join(
         refinement — appears as a named span, and the reported
         ``extra["stage_seconds"]`` values are exactly the top-level stage
         span durations.
-    batch_pairs:
-        Join granularity of cluster execution (``sc``/``rand-sc``/``cc``
-        only).  ``None`` (the default) joins each cluster's marked page
-        pairs in one mega-batch cascade; ``1`` selects the classic
-        per-page-pair path; any other value raises ``ValueError``.
-        Results and simulated accounting are identical at both settings
-        (see :func:`repro.core.executor.execute_clusters`).
     prefilter:
         The sketch-based prefilter cascade (``sc``/``rand-sc``/``cc``
         only; see :mod:`repro.sketch` and ``docs/architecture.md``).
@@ -532,7 +522,7 @@ def join(
         with rec.span("join.clustering") as cluster_span:
             clusters, cluster_ops = _build_clusters(
                 method, matrix, buffer_pages, disk, r, s, seed,
-                sc_target_aspect, cc_histogram_bins, rec,
+                sc_target_aspect, rec,
             )
         stage_seconds["clustering"] = cluster_span.duration
         with rec.span("join.scheduling") as schedule_span:
@@ -556,15 +546,13 @@ def join(
             if shard_strategy is not None:
                 outcome = execute_clusters_sharded(
                     ordered, pool, r.paged, s.paged, joiner, workers=workers,
-                    recorder=rec, batch_pairs=batch_pairs,
-                    shard_strategy=shard_strategy,
+                    recorder=rec, shard_strategy=shard_strategy,
                     auditor=explain_auditor, explain=collector,
                 )
             else:
                 outcome = execute_clusters(
                     ordered, pool, r.paged, s.paged, joiner,
-                    recorder=rec, batch_pairs=batch_pairs,
-                    auditor=explain_auditor,
+                    recorder=rec, auditor=explain_auditor,
                 )
         stage_seconds["execution"] = exec_span.duration
         clusters = ordered
@@ -682,7 +670,6 @@ def _build_clusters(
     s: IndexedDataset,
     seed: int,
     sc_target_aspect: float,
-    cc_histogram_bins: int,
     recorder: Recorder = NULL_RECORDER,
 ) -> Tuple[List[Cluster], int]:
     if method == "cc":
@@ -698,7 +685,6 @@ def _build_clusters(
             matrix,
             buffer_pages,
             page_set_cost,
-            histogram_bins=cc_histogram_bins,
             rng=np.random.default_rng(seed),
             recorder=recorder,
         )

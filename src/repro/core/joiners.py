@@ -13,21 +13,27 @@ Two kernels exist:
   MRS-index object-level filter), then verified with banded edit distance.
   The expensive DP is only charged for pairs that survive the filter.
 
-Each joiner is callable with one page pair (the classic granularity) and
-additionally exposes :meth:`~PagePairJoiner.join_cluster`, the
-*mega-batch* granularity: every marked page pair of a staged cluster is
-concatenated into one candidate block over the datasets' columnar page
-views (:meth:`~repro.storage.page.PagedDataset.pages_view`), the whole
-block runs a single filter-and-refine cascade with a shared threshold,
-and results are scattered back to per-pair outputs that are bit-identical
-to calling the joiner per pair — pairs, counts, comparisons, modeled CPU
-and semantic counters included (only kernel *invocation* counts differ;
-see ``repro.obs.recorder.BATCHING_VARIANT_COUNTERS``).
+Each joiner has two entry points.  :meth:`~PagePairJoiner.join_cluster`
+is the *mega-batch* the cluster executor runs: every marked page pair of
+a staged cluster is concatenated into one candidate block over the
+datasets' columnar page views
+(:meth:`~repro.storage.page.PagedDataset.pages_view`), the whole block
+runs a single filter-and-refine cascade with a shared threshold, and
+results are scattered back to per-entry outputs.  Calling the joiner
+with one page pair's payloads is the page-at-a-time form the NLJ, pm-NLJ,
+EGO and BFRJ methods drive, and the equivalence suite's oracle: the two
+are bit-identical — pairs, counts, comparisons, modeled CPU and semantic
+counters included (only kernel *invocation* counts differ; see
+``repro.obs.recorder.BATCHING_VARIANT_COUNTERS``).
+
+The numeric joiner supports the built-in distance families
+(:class:`~repro.distance.vector.MinkowskiDistance`,
+:class:`~repro.distance.dtw.DTWDistance`) and rejects any other with
+:class:`~repro.errors.ConfigError` at construction.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +41,7 @@ import numpy as np
 from repro.costmodel import CostModel
 from repro.distance.dtw import DTWDistance
 from repro.distance.vector import MinkowskiDistance
+from repro.errors import ConfigError
 from repro.kernels.backends import resolve_backend
 from repro.kernels.dtw import dtw_batch
 from repro.kernels.edit import edit_batch
@@ -250,14 +257,7 @@ def _entry_sorted(
 
 
 class PagePairJoiner:
-    """Base page-pair joiner: callable per pair, optionally cluster-batchable.
-
-    ``supports_megabatch`` advertises whether :meth:`join_cluster` can run
-    the fused cascade; when ``False`` the executor falls back to per-pair
-    calls (plain-callable joiners behave the same by never defining it).
-    """
-
-    supports_megabatch = False
+    """Base page-pair joiner: one page pair per call, or one whole cluster."""
 
     def __call__(self, row: int, col: int, r_payload, s_payload) -> JoinerResult:
         raise NotImplementedError
@@ -296,18 +296,16 @@ class NumericPagePairJoiner(PagePairJoiner):
         self.collect_pairs = collect_pairs
         self.recorder = recorder
         self.kernel_backend = resolve_backend(kernel_backend)
-        # Third-party JoinDistance implementations may predate the recorder
-        # protocol (or the kernel-backend one); probe once at construction
-        # time, not per page pair.
-        self._forward_recorder = _accepts_kw(distance.pairs_within, "recorder")
-        self._forward_backend = _accepts_kw(distance.pairs_within, "kernel_backend")
-        # The fused cascade is specific to the built-in distance families;
-        # anything else (or a dataset without columnar views) joins per pair.
-        self.supports_megabatch = isinstance(
-            distance, (MinkowskiDistance, DTWDistance)
-        ) and (
-            hasattr(r_dataset, "pages_view") and hasattr(s_dataset, "pages_view")
-        )
+        # The fused cascades are specific to the built-in distance families.
+        if isinstance(distance, DTWDistance):
+            self._pairs_kwargs = {"kernel_backend": self.kernel_backend}
+        elif isinstance(distance, MinkowskiDistance):
+            self._pairs_kwargs = {}
+        else:
+            raise ConfigError(
+                f"numeric joins support MinkowskiDistance and DTWDistance, "
+                f"got {distance!r}"
+            )
 
     # -- per-pair granularity ------------------------------------------------
 
@@ -316,12 +314,9 @@ class NumericPagePairJoiner(PagePairJoiner):
         left = np.asarray(r_payload)
         right = np.asarray(s_payload)
         with recorder.span("execute.refine"):
-            kwargs = {}
-            if self._forward_recorder:
-                kwargs["recorder"] = recorder
-            if self._forward_backend:
-                kwargs["kernel_backend"] = self.kernel_backend
-            local = self.distance.pairs_within(left, right, self.epsilon, **kwargs)
+            local = self.distance.pairs_within(
+                left, right, self.epsilon, recorder=recorder, **self._pairs_kwargs
+            )
             comparisons = left.shape[0] * right.shape[0]
             cpu = self.cost_model.cpu_cost(comparisons, self.distance.comparison_weight)
             if self.self_join and row == col:
@@ -338,10 +333,6 @@ class NumericPagePairJoiner(PagePairJoiner):
     # -- cluster granularity -------------------------------------------------
 
     def join_cluster(self, entries: Sequence[Entry]) -> List[JoinerResult]:
-        if not self.supports_megabatch:
-            raise NotImplementedError(
-                f"mega-batch cascade is not supported for {self.distance!r}"
-            )
         recorder = self.recorder
         with recorder.span(
             "execute.megabatch",
@@ -471,14 +462,6 @@ def make_numeric_joiner(
     )
 
 
-def _accepts_kw(pairs_within: Callable, name: str) -> bool:
-    """True when a distance's ``pairs_within`` takes keyword ``name``."""
-    try:
-        return name in inspect.signature(pairs_within).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-
-
 def text_dp_weight(window_length: int, epsilon: float) -> float:
     """CPU weight of one banded edit-distance run at threshold ``epsilon``."""
     band = max(1, int(epsilon))
@@ -492,8 +475,6 @@ class TextPagePairJoiner(PagePairJoiner):
     by window offset; they live with the index (in memory), so consulting
     them costs CPU but no I/O.
     """
-
-    supports_megabatch = True
 
     def __init__(
         self,

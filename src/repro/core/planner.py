@@ -18,7 +18,8 @@ comparisons (the CSR work matrix's cell counts), so shards are balanced
 on the true refine work, not an estimate.  Page affinity (the sharing
 graph's page-overlap signal, :func:`repro.core.schedule.cluster_page_codes`)
 breaks ties so clusters touching the same pages land on the same shard,
-minimising cross-shard page duplication.
+minimising cross-shard page duplication.  This ``"affinity"`` strategy
+is the only one; any other partition is a hand-built :class:`ShardPlan`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.core.square import square_clustering
 from repro.core.sweep import build_prediction_matrix
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
 
-__all__ = ["JoinPlan", "plan_join", "ShardPlan", "plan_shards", "SHARD_STRATEGIES"]
+__all__ = ["JoinPlan", "plan_join", "ShardPlan", "plan_shards"]
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,6 @@ def plan_join(
 
 # -- shard planning ----------------------------------------------------------------
 
-SHARD_STRATEGIES = ("affinity", "chunk", "roundrobin")
-
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -182,30 +181,23 @@ def plan_shards(
 ) -> ShardPlan:
     """Split the scheduled clusters into at most ``workers`` shard sets.
 
-    Strategies:
-
-    ``"affinity"`` (default)
-        Longest-processing-time greedy on the exact per-cluster cell
-        counts, with a page-affinity tie-break: among shards whose load
-        is within slack of the minimum, the cluster goes to the one
-        sharing the most pages with it.  Balances refine work first,
-        duplication second.
-    ``"chunk"``
-        Contiguous schedule segments split at equal cost prefixes —
-        preserves the sharing-graph adjacency inside each shard (best
-        per-shard page reuse), at the mercy of cost skew along the
-        schedule.
-    ``"roundrobin"``
-        Schedule index modulo shard count — the no-information baseline.
+    The one strategy, ``"affinity"``, is a longest-processing-time greedy
+    on the exact per-cluster cell counts with a page-affinity tie-break:
+    among shards whose load is within slack of the minimum, the cluster
+    goes to the one sharing the most pages with it.  It balances refine
+    work first, duplication second.  Other partitions (contiguous or
+    strided ones, say) can be built by hand as a :class:`ShardPlan` and
+    passed to the sharded executor directly.
 
     Shards that would be empty are dropped, so ``num_shards`` can be
     less than ``workers`` when there are few clusters.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if strategy not in SHARD_STRATEGIES:
+    if strategy != "affinity":
         raise ValueError(
-            f"unknown shard strategy {strategy!r}; expected one of {SHARD_STRATEGIES}"
+            f"unknown shard strategy {strategy!r}; the only strategy is "
+            "'affinity' (pass a ShardPlan for any other partition)"
         )
     num = len(ordered_clusters)
     k = min(workers, num)
@@ -217,12 +209,7 @@ def plan_shards(
     ]
     if num == 0:
         return ShardPlan(strategy=strategy, shards=(), costs=(), duplicated_pages=0)
-    if strategy == "chunk":
-        assign = _chunk_assign(costs, k)
-    elif strategy == "roundrobin":
-        assign = [[i for i in range(num) if i % k == s] for s in range(k)]
-    else:
-        assign = _affinity_assign(costs, page_sets, k)
+    assign = _affinity_assign(costs, page_sets, k)
     members = tuple(
         tuple(sorted(shard)) for shard in assign if shard
     )
@@ -257,18 +244,6 @@ def _cluster_costs(
         entries = np.asarray(cluster.entries, dtype=np.int64).reshape(-1, 2)
         costs[i] = int((r_counts[entries[:, 0]] * s_counts[entries[:, 1]]).sum())
     return costs
-
-
-def _chunk_assign(costs: np.ndarray, k: int) -> List[List[int]]:
-    """Contiguous schedule segments with equal cost prefixes."""
-    prefix = np.cumsum(costs, dtype=np.float64)
-    total = float(prefix[-1])
-    bounds = [0]
-    for j in range(1, k):
-        cut = int(np.searchsorted(prefix, total * j / k, side="left")) + 1
-        bounds.append(max(cut, bounds[-1]))
-    bounds.append(len(costs))
-    return [list(range(bounds[j], bounds[j + 1])) for j in range(k)]
 
 
 def _affinity_assign(

@@ -15,7 +15,8 @@ only ever read pages that appear in a marked entry.
 
 from __future__ import annotations
 
-from repro.core.executor import ExecutionOutcome, PagePairJoin
+from repro.core.executor import ExecutionOutcome
+from repro.core.joiners import PagePairJoiner
 from repro.core.prediction import PredictionMatrix
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PagedDataset
@@ -28,7 +29,7 @@ def pm_nlj_join(
     pool: BufferPool,
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
-    page_pair_join: PagePairJoin,
+    page_pair_join: PagePairJoiner,
 ) -> ExecutionOutcome:
     """Join every marked page pair of ``matrix``; returns measurements."""
     pool.attach(r_dataset)
@@ -60,7 +61,7 @@ def _pinned_side_join(
     pool: BufferPool,
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
-    page_pair_join: PagePairJoin,
+    page_pair_join: PagePairJoiner,
     outcome: ExecutionOutcome,
     pin_cols: bool,
 ) -> None:
@@ -115,7 +116,7 @@ def _streaming_join(
     pool: BufferPool,
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
-    page_pair_join: PagePairJoin,
+    page_pair_join: PagePairJoiner,
     outcome: ExecutionOutcome,
 ) -> None:
     """Neither side fits: stream the smaller-marked side's pages one by one.
@@ -159,7 +160,7 @@ def _streaming_join(
 
 
 def _join_entry(
-    page_pair_join: PagePairJoin,
+    page_pair_join: PagePairJoiner,
     row: int,
     col: int,
     r_payload,

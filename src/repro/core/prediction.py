@@ -23,8 +23,8 @@ Entry = Tuple[int, int]
 class CSRWorkMatrix:
     """Dual CSR/CSC array view of a marked-entry snapshot, with removal.
 
-    The clustering passes (SC/CC) consume a *working copy* of the
-    prediction matrix: they repeatedly slice rows/columns and remove the
+    Cost clustering (CC) consumes a *working copy* of the prediction
+    matrix: it repeatedly slices rows/columns and removes the
     entries they assign to clusters.  The dict-of-sets representation
     makes every ``row_cols``/``col_rows`` call a sorted-list rebuild;
     this view stores the same entries once, in two static sorted orders,

@@ -52,19 +52,18 @@ __all__ = [
 ]
 
 # Counters that measure *how* work was batched rather than *what* work
-# was done.  The cluster executor's mega-batch mode fuses every page
-# pair of a cluster into one filter-and-refine cascade (span
+# was done.  The cluster executor's mega-batch fuses every page pair of
+# a cluster into one filter-and-refine cascade (span
 # ``execute.megabatch``), so kernel-invocation counts collapse from one
 # per page pair to one per cluster while every semantic counter (pairs
 # tested/accepted, candidates, abandons, comparisons, I/O) stays
-# bit-identical to the per-pair path.  Equivalence checks between
-# batching modes must ignore exactly this set and nothing else.
+# bit-identical to calling the joiner per page pair.  Equivalence checks
+# between the two must ignore exactly this set and nothing else.
 BATCHING_VARIANT_COUNTERS = frozenset(
     {
         "kernel.minkowski.invocations",
         "kernel.dtw.invocations",
         "kernel.edit.invocations",
-        "executor.megabatch_clusters",
     }
 )
 

@@ -54,7 +54,6 @@ def subsequence_join(
     seed: int = 0,
     workers: int = 1,
     recorder: Optional[Recorder] = None,
-    batch_pairs: Optional[int] = None,
     prefilter=None,
     kernel_backend=None,
     explain: bool = False,
@@ -69,10 +68,7 @@ def subsequence_join(
     processes (see :func:`repro.core.join.join`); results and simulated
     I/O are identical to the serial run.  ``recorder`` forwards a
     :class:`repro.obs.Recorder` to the underlying page join for span
-    traces and metrics.  ``batch_pairs`` sets the cluster-execution
-    granularity (``None`` = whole-cluster mega-batch, ``1`` = per page
-    pair; nothing else is accepted) without changing results or
-    accounting.  ``prefilter`` forwards ``"approximate"`` or a
+    traces and metrics.  ``prefilter`` forwards ``"approximate"`` or a
     :class:`repro.sketch.PrefilterConfig`, which prunes the prediction
     matrix under a recall target (see :func:`repro.core.join.join`).
     A non-finite or negative ``epsilon`` raises ``ValueError``.
@@ -106,7 +102,6 @@ def subsequence_join(
         seed=seed,
         workers=workers,
         recorder=recorder,
-        batch_pairs=batch_pairs,
         prefilter=prefilter,
         kernel_backend=kernel_backend,
         explain=explain,

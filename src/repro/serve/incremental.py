@@ -45,7 +45,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.join import IndexedDataset
+from repro.core.join import IndexedDataset, _check_finite
 from repro.core.prediction import PredictionMatrix
 from repro.core.sweep import SweepStats, marked_box_pairs
 from repro.distance.frequency import frequency_vectors_sliding
@@ -102,10 +102,15 @@ def append_to_dataset(
     suffix for text datasets, or a 1-d value suffix for series datasets.
     ``chain`` is the dataset's current fingerprint chain (it is copied,
     never mutated, so the old snapshot's provenance stays intact).
+    Raises ``ValueError`` on NaN or infinite vector rows or series values,
+    before any state is built.
     """
     _check_appendable(dataset)
     if dataset.kind == "vector":
+        _check_finite(payload, "appended vector rows")
         return _append_vectors(dataset, chain, payload, page_capacity)
+    if dataset.kind == "series":
+        _check_finite(payload, "appended series values")
     return _append_sequence(dataset, chain, payload)
 
 

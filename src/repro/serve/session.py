@@ -24,12 +24,14 @@ equivalence tests pin this.
 **Result memoisation.**  An identical repeat request (same dataset
 fingerprints, ε, method, buffer size, filter depth, pair options) is
 served straight from a bounded result memo — the warmest tier above the
-resident matrix.  Only *matrix-warm*, non-explain, prefilter-free
-executions are memoised, so a memoised payload is bit-identical to the
-warm execution it replays (zero ``matrix_seconds``, no sweep counters)
-and never leaks cold-build provenance.  Keys embed the content
-fingerprints, so an append makes every stale memo entry unreachable
-exactly like the matrix/sketch caches.
+resident matrix.  The memo holds at most ``_RESULT_MEMO_CAP`` entries
+and ``_RESULT_MEMO_MAX_PAIRS`` result pairs in total, evicting FIFO.
+Only *matrix-warm*, non-explain, prefilter-free executions are
+memoised, so a memoised payload is bit-identical to the warm execution
+it replays (zero ``matrix_seconds``, no sweep counters) and never leaks
+cold-build provenance.  Keys embed the content fingerprints, so an
+append makes every stale memo entry unreachable exactly like the
+matrix/sketch caches.
 
 **Concurrency.**  Mutation (register/append/evict) happens under one
 session lock; ``join`` resolves its snapshots under that lock and then
@@ -73,6 +75,13 @@ __all__ = ["JoinSession", "ResidentDataset"]
 # Entries are unreachable after any append anyway (fingerprint keys), so
 # the cap only bounds memory under many distinct live request shapes.
 _RESULT_MEMO_CAP = 256
+
+# Bound on the result pairs held across all memoised payloads (~65 MB of
+# ``[a, b]`` lists at ~130 bytes each).  A spatial-size payload of ~900k
+# pairs is above it and never memoised; smaller ones evict older entries
+# (FIFO) until the total fits.  A mixed serving load whose payloads hold
+# tens of thousands of pairs stays far below it.
+_RESULT_MEMO_MAX_PAIRS = 500_000
 
 
 def _copy_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -163,6 +172,7 @@ class JoinSession:
         # the payload of a prior matrix-warm execution of that shape.
         self._memo_lock = threading.Lock()
         self._results: Dict[tuple, Dict[str, Any]] = {}
+        self._memo_pairs = 0  # total pairs across memoised payloads
         self._counter_lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self.started_monotonic = time.monotonic()
@@ -224,7 +234,7 @@ class JoinSession:
                 dropped_results = 0
                 for key, hit in list(self._results.items()):
                     if dataset_id in (hit["r_id"], hit["s_id"]):
-                        del self._results[key]
+                        self._memo_drop(key)
                         dropped_results += 1
             self._count("serving.evictions")
             return {
@@ -566,14 +576,28 @@ class JoinSession:
     def _memo_put(
         self, key: tuple, r_id: str, s_id: str, payload: Dict[str, Any]
     ) -> None:
+        num_pairs = len(payload.get("pairs", ()))
+        if num_pairs > _RESULT_MEMO_MAX_PAIRS:
+            return
         with self._memo_lock:
-            if key not in self._results and len(self._results) >= _RESULT_MEMO_CAP:
-                self._results.pop(next(iter(self._results)))
+            previous = self._results.get(key)
+            if previous is not None:
+                self._memo_pairs -= previous["num_pairs"]
+            elif len(self._results) >= _RESULT_MEMO_CAP:
+                self._memo_drop(next(iter(self._results)))
             self._results[key] = {
                 "r_id": r_id,
                 "s_id": s_id,
                 "payload": _copy_payload(payload),
+                "num_pairs": num_pairs,
             }
+            self._memo_pairs += num_pairs
+            while self._memo_pairs > _RESULT_MEMO_MAX_PAIRS:
+                self._memo_drop(next(iter(self._results)))
+
+    def _memo_drop(self, key: tuple) -> None:
+        """Forget one memo entry (caller holds ``_memo_lock``)."""
+        self._memo_pairs -= self._results.pop(key)["num_pairs"]
 
     def subsequence_join(self, r_id: str, s_id: str, epsilon: float, **kwargs):
         """The sliding-window join (text/series datasets only)."""

@@ -56,3 +56,76 @@ def dna_dataset():
     return IndexedDataset.from_string(
         markov_dna(1500, seed=3), window_length=10, windows_per_page=32
     )
+
+
+def _hand_built_shard_plan(shape: str, num_clusters: int, workers: int):
+    """A hand-built partition of a schedule of ``num_clusters`` clusters.
+
+    ``"chunk"`` cuts the schedule into contiguous segments of near-equal
+    length; ``"roundrobin"`` deals schedule indices out modulo the shard
+    count.  Empty shards are dropped, as :func:`plan_shards` does.  Costs
+    are zero: the executor uses them only for the arity check.
+    """
+    from repro.core.planner import ShardPlan
+
+    k = max(1, min(workers, num_clusters))
+    if shape == "chunk":
+        bounds = np.linspace(0, num_clusters, k + 1).round().astype(int)
+        members = [range(bounds[j], bounds[j + 1]) for j in range(k)]
+    elif shape == "roundrobin":
+        members = [range(j, num_clusters, k) for j in range(k)]
+    else:
+        raise ValueError(f"unknown hand-built plan shape {shape!r}")
+    shards = tuple(tuple(m) for m in members if len(m))
+    return ShardPlan(
+        strategy=shape, shards=shards, costs=(0,) * len(shards), duplicated_pages=0
+    )
+
+
+@pytest.fixture
+def shard_strategy_for():
+    """``f(shape, num_clusters, workers)`` -> a ``join(shard_strategy=)`` value.
+
+    ``"affinity"`` passes through to the planner; the other shapes become
+    hand-built :class:`~repro.core.planner.ShardPlan` objects.
+    """
+
+    def resolve(shape: str, num_clusters: int, workers: int):
+        if shape == "affinity":
+            return shape
+        return _hand_built_shard_plan(shape, num_clusters, workers)
+
+    return resolve
+
+
+@pytest.fixture
+def hand_built_shard_plan():
+    return _hand_built_shard_plan
+
+
+@pytest.fixture
+def per_pair_outcome():
+    """``f(r, s, epsilon, clusters)`` -> the per-pair joiner's outcome.
+
+    Calls the built-in joiner once per marked page pair of each cluster,
+    in schedule order, reading payloads straight from the page store —
+    the oracle for results, comparisons and modeled CPU.
+    """
+    from repro.core.executor import ExecutionOutcome
+    from repro.core.join import _make_joiner
+    from repro.costmodel import DEFAULT_COST_MODEL
+
+    def run(r, s, epsilon, clusters):
+        joiner = _make_joiner(r, s, epsilon, DEFAULT_COST_MODEL, r is s, True)
+        outcome = ExecutionOutcome()
+        for cluster in clusters:
+            for row, col in cluster.entries:
+                outcome.absorb(
+                    joiner(
+                        row, col, r.paged.page_objects(row),
+                        s.paged.page_objects(col),
+                    )
+                )
+        return outcome
+
+    return run

@@ -146,11 +146,16 @@ class TestShardedBackendParity:
         assert _backend_counters(sharded[1]) == _backend_counters(serial[1])
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_text_join_sharded_matches_serial(self, text_pair, backend):
+    def test_text_join_sharded_matches_serial(
+        self, text_pair, backend, hand_built_shard_plan
+    ):
         r, s = text_pair
         serial = _run(r, s, 2.0, backend=backend)
+        contiguous = hand_built_shard_plan(
+            "chunk", serial[0].report.extra["num_clusters"], 2
+        )
         sharded = _run(
-            r, s, 2.0, backend=backend, workers=2, shard_strategy="chunk"
+            r, s, 2.0, backend=backend, workers=2, shard_strategy=contiguous
         )
         _assert_identical(serial, sharded)
         assert _backend_counters(sharded[1]) == _backend_counters(serial[1])

@@ -20,8 +20,17 @@ def datasets():
     return r, s
 
 
-def counting_joiner(row, col, r_payload, s_payload):
-    return [(row, col)], 1, len(r_payload) * len(s_payload), 0.001
+class CountingJoiner:
+    """Fake joiner: one pair per marked entry, comparisons = cell count."""
+
+    def __init__(self, r, s):
+        self.r, self.s = r, s
+
+    def join_cluster(self, entries):
+        return [
+            ([(row, col)], 1, self.r.object_count(row) * self.s.object_count(col), 0.001)
+            for row, col in entries
+        ]
 
 
 class TestExecution:
@@ -32,7 +41,7 @@ class TestExecution:
             Cluster(0, ((0, 0), (0, 1), (1, 0))),
             Cluster(1, ((5, 5), (6, 5))),
         ]
-        outcome = execute_clusters(clusters, pool, r, s, counting_joiner)
+        outcome = execute_clusters(clusters, pool, r, s, CountingJoiner(r, s))
         assert sorted(outcome.pairs) == [(0, 0), (0, 1), (1, 0), (5, 5), (6, 5)]
         assert outcome.num_pairs == 5
         assert outcome.cpu_seconds == pytest.approx(0.005)
@@ -42,7 +51,7 @@ class TestExecution:
         r, s = datasets
         pool = BufferPool(disk, capacity=6)
         cluster = Cluster(0, ((0, 0), (0, 1), (1, 0), (1, 1)))
-        outcome = execute_clusters([cluster], pool, r, s, counting_joiner)
+        outcome = execute_clusters([cluster], pool, r, s, CountingJoiner(r, s))
         assert outcome.pages_read == cluster.num_pages == 4
         assert disk.stats.transfers == 4
 
@@ -52,7 +61,7 @@ class TestExecution:
         pool = BufferPool(disk, capacity=6)
         first = Cluster(0, ((0, 0), (1, 1)))   # pages R0,R1,S0,S1
         second = Cluster(1, ((1, 2), (2, 1)))  # pages R1,R2,S1,S2 — shares R1,S1
-        outcome = execute_clusters([first, second], pool, r, s, counting_joiner)
+        outcome = execute_clusters([first, second], pool, r, s, CountingJoiner(r, s))
         assert outcome.pages_read == 4 + 2
         assert outcome.pages_reused == 2
         assert outcome.pages_reused == first.shared_pages(second, "R", "S")
@@ -62,19 +71,19 @@ class TestExecution:
         pool = BufferPool(disk, capacity=3)
         too_big = Cluster(0, ((0, 0), (1, 1)))  # 4 pages > 3
         with pytest.raises(ValueError):
-            execute_clusters([too_big], pool, r, s, counting_joiner)
+            execute_clusters([too_big], pool, r, s, CountingJoiner(r, s))
 
     def test_self_join_shared_page_counts_once(self, disk, datasets):
         r, _ = datasets
         pool = BufferPool(disk, capacity=6)
         diagonal = Cluster(0, ((2, 2), (2, 3)))
-        outcome = execute_clusters([diagonal], pool, r, r, counting_joiner)
+        outcome = execute_clusters([diagonal], pool, r, r, CountingJoiner(r, r))
         # pages {2, 3} of the single dataset: two physical reads only.
         assert outcome.pages_read == 2
 
     def test_empty_schedule(self, disk, datasets):
         r, s = datasets
         pool = BufferPool(disk, capacity=6)
-        outcome = execute_clusters([], pool, r, s, counting_joiner)
+        outcome = execute_clusters([], pool, r, s, CountingJoiner(r, s))
         assert outcome.pairs == []
         assert disk.stats.transfers == 0

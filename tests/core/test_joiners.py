@@ -58,6 +58,22 @@ class TestNumericJoiner:
         assert pairs == []
         assert count == 25
 
+    def test_unsupported_distance_rejected(self, pair, model):
+        from repro.distance.edit import EditDistance
+        from repro.errors import ConfigError
+
+        class ChebyshevDistance:
+            comparison_weight = 1.0
+
+            def pairs_within(self, left, right, epsilon):
+                d = np.abs(left[:, None, :] - right[None, :, :]).max(axis=2)
+                return [tuple(ij) for ij in np.argwhere(d <= epsilon).tolist()]
+
+        r, s = pair
+        for distance in (ChebyshevDistance(), EditDistance(window_length=4)):
+            with pytest.raises(ConfigError, match="MinkowskiDistance and DTWDistance"):
+                make_numeric_joiner(r, s, distance, 0.3, model, False)
+
 
 class TestTextJoiner:
     @pytest.fixture

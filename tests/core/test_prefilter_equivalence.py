@@ -4,8 +4,9 @@ answer only through the cells it unmarks.
 A join with ``prefilter="approximate"`` must return exactly the
 unfiltered answer restricted to the page pairs that stay marked, and it
 must be observationally identical — pairs (order included), every
-simulated cost field, every counter — across worker counts, serial vs
-process-sharded execution, and per-pair vs mega-batch granularity.
+simulated cost field, every counter — across worker counts and serial vs
+process-sharded execution over any partition shape, and its mega-batch
+execution must equal per-pair joiner calls over the same schedule.
 Only the batching/sharding kernel-shape counters may differ.
 """
 
@@ -76,11 +77,15 @@ def _check_prefilter(r, s, epsilon, prefilter="approximate", **candidate_kwargs)
 
     Returns the serial prefiltered run after checking that (a) its pairs
     are exactly the unfiltered pairs whose page pair stays marked and
-    (b) a run with ``candidate_kwargs`` (workers, shard strategy,
-    granularity) reproduces it bit for bit.
+    (b) a run with ``candidate_kwargs`` (workers, shard strategy)
+    reproduces it bit for bit.  A callable ``shard_strategy`` receives
+    the serial schedule's cluster count and returns the plan to run.
     """
     unfiltered, _ = _run(r, s, epsilon, prefilter=None)
     serial = _run(r, s, epsilon, prefilter=prefilter, keep_details=True)
+    strategy = candidate_kwargs.get("shard_strategy")
+    if callable(strategy):
+        candidate_kwargs["shard_strategy"] = strategy(len(serial[0].clusters))
     matrix = serial[0].matrix
     r_page, s_page = _page_of(r), _page_of(s)
     surviving = {
@@ -135,8 +140,8 @@ def text_pair():
 
 
 class TestExactModeIdentity:
-    """Every joiner kind × workers × serial/sharded × granularity: the
-    prefiltered join is exactly the unfiltered one minus unmarked cells."""
+    """Every joiner kind × workers × serial/sharded: the prefiltered join
+    is exactly the unfiltered one minus unmarked cells."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_vector_join(self, vector_pair, workers):
@@ -161,9 +166,14 @@ class TestExactModeIdentity:
         _check_prefilter(r, s, 1.0, workers=workers)
 
     @pytest.mark.parametrize("shard_strategy", ["affinity", "chunk"])
-    def test_sharded_vector_join(self, vector_pair, shard_strategy):
+    def test_sharded_vector_join(
+        self, vector_pair, shard_strategy, shard_strategy_for
+    ):
         r, s = vector_pair
-        _check_prefilter(r, s, 0.05, workers=2, shard_strategy=shard_strategy)
+        _check_prefilter(
+            r, s, 0.05, workers=2,
+            shard_strategy=lambda n: shard_strategy_for(shard_strategy, n, 2),
+        )
 
     def test_sharded_text_join(self, text_pair):
         r, s = text_pair
@@ -174,9 +184,13 @@ class TestExactModeIdentity:
         result = _check_prefilter(r, r, 0.03, workers=2)
         assert all(a < b for a, b in result.pairs)
 
-    def test_per_pair_path_identity(self, vector_pair):
+    def test_per_pair_path_identity(self, vector_pair, per_pair_outcome):
         r, s = vector_pair
-        _check_prefilter(r, s, 0.05, batch_pairs=1)
+        result = _check_prefilter(r, s, 0.05, workers=2)
+        per_pair = per_pair_outcome(r, s, 0.05, result.clusters)
+        assert result.pairs == per_pair.pairs
+        assert result.report.comparisons == per_pair.comparisons
+        assert result.report.cpu_seconds == per_pair.cpu_seconds
 
     def test_exact_config_object(self, vector_pair):
         r, s = vector_pair

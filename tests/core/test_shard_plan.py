@@ -1,15 +1,17 @@
-"""Shard planner: every strategy partitions the schedule; affinity balances.
+"""Shard planner: plans partition the schedule; affinity balances.
 
-The planner (ISSUE 6 tentpole, part a) splits the ordered cluster list
-into ``k`` shard-local sets using exact work-matrix cell counts for
-balance and sharing-graph page overlap to curb cross-shard duplication.
+The planner splits the ordered cluster list into ``k`` shard-local sets
+using exact work-matrix cell counts for balance and sharing-graph page
+overlap to curb cross-shard duplication.  The partition invariants are
+checked on the planner's affinity plan and on hand-built contiguous
+(``chunk``) and strided (``roundrobin``) plans.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.clusters import Cluster
-from repro.core.planner import SHARD_STRATEGIES, ShardPlan, plan_shards
+from repro.core.planner import ShardPlan, plan_shards
 from repro.storage.page import VectorPagedDataset
 
 
@@ -24,6 +26,8 @@ def datasets():
     return r, s
 
 
+PLAN_SHAPES = ("affinity", "chunk", "roundrobin")
+
 CLUSTERS = [
     Cluster(0, ((0, 0), (0, 1), (1, 0), (1, 1))),
     Cluster(1, ((2, 2),)),
@@ -35,12 +39,20 @@ CLUSTERS = [
 ]
 
 
-class TestPartitionInvariants:
-    @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 16])
-    def test_exact_partition(self, datasets, strategy, workers):
+def _plan(shape, datasets, workers, hand_built_shard_plan):
+    if shape == "affinity":
         r, s = datasets
-        plan = plan_shards(CLUSTERS, r, s, workers, strategy)
+        return plan_shards(CLUSTERS, r, s, workers, shape)
+    return hand_built_shard_plan(shape, len(CLUSTERS), workers)
+
+
+class TestPartitionInvariants:
+    @pytest.mark.parametrize("strategy", PLAN_SHAPES)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 16])
+    def test_exact_partition(
+        self, datasets, strategy, workers, hand_built_shard_plan
+    ):
+        plan = _plan(strategy, datasets, workers, hand_built_shard_plan)
         plan.validate(len(CLUSTERS))
         covered = sorted(i for shard in plan.shards for i in shard)
         assert covered == list(range(len(CLUSTERS)))
@@ -48,12 +60,16 @@ class TestPartitionInvariants:
         assert 1 <= plan.num_shards <= min(workers, len(CLUSTERS))
         assert all(shard for shard in plan.shards)
 
-    @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
-    def test_members_ascend_within_shard(self, datasets, strategy):
-        r, s = datasets
-        plan = plan_shards(CLUSTERS, r, s, 3, strategy)
+    @pytest.mark.parametrize("strategy", PLAN_SHAPES)
+    def test_members_ascend_within_shard(
+        self, datasets, strategy, hand_built_shard_plan
+    ):
+        plan = _plan(strategy, datasets, 3, hand_built_shard_plan)
         for shard in plan.shards:
             assert list(shard) == sorted(shard)
+        assert plan.shard_of() == {
+            i: k for k, shard in enumerate(plan.shards) for i in shard
+        }
 
     def test_single_worker_is_identity(self, datasets):
         r, s = datasets
@@ -78,8 +94,9 @@ class TestPartitionInvariants:
         r, s = datasets
         with pytest.raises(ValueError):
             plan_shards(CLUSTERS, r, s, 0)
-        with pytest.raises(ValueError):
-            plan_shards(CLUSTERS, r, s, 2, "zigzag")
+        for strategy in ("zigzag", "chunk", "roundrobin"):
+            with pytest.raises(ValueError, match="affinity"):
+                plan_shards(CLUSTERS, r, s, 2, strategy)
 
 
 class TestCosts:
@@ -93,8 +110,8 @@ class TestCosts:
             )
 
         total = sum(cluster_cost(c) for c in CLUSTERS)
-        for strategy in SHARD_STRATEGIES:
-            plan = plan_shards(CLUSTERS, r, s, 3, strategy)
+        for workers in (1, 2, 3, 4):
+            plan = plan_shards(CLUSTERS, r, s, workers)
             assert sum(plan.costs) == total
             for shard, cost in zip(plan.shards, plan.costs):
                 assert cost == sum(cluster_cost(CLUSTERS[i]) for i in shard)
@@ -121,8 +138,14 @@ class TestCosts:
             for i, n in enumerate(rng.integers(1, 8, size=20))
         ]
         affinity = plan_shards(clusters, r, s, 4, "affinity")
-        baseline = plan_shards(clusters, r, s, 4, "roundrobin")
-        assert max(affinity.costs) <= max(baseline.costs)
+        cell_costs = [
+            sum(r.object_count(a) * s.object_count(b) for a, b in c.entries)
+            for c in clusters
+        ]
+        roundrobin_max = max(
+            sum(cell_costs[k::4]) for k in range(4)
+        )
+        assert max(affinity.costs) <= roundrobin_max
 
 
 class TestDuplication:
@@ -130,8 +153,8 @@ class TestDuplication:
         r, s = datasets
         from repro.core.schedule import cluster_page_codes
 
-        for strategy in SHARD_STRATEGIES:
-            plan = plan_shards(CLUSTERS, r, s, 3, strategy)
+        for workers in (2, 3, 4):
+            plan = plan_shards(CLUSTERS, r, s, workers)
             shard_pages = [
                 set().union(
                     *(set(cluster_page_codes(CLUSTERS[i], False).tolist())
@@ -141,12 +164,6 @@ class TestDuplication:
             ]
             union = set().union(*shard_pages)
             assert plan.duplicated_pages == sum(map(len, shard_pages)) - len(union)
-
-    def test_chunk_keeps_schedule_contiguous(self, datasets):
-        r, s = datasets
-        plan = plan_shards(CLUSTERS, r, s, 3, "chunk")
-        for shard in plan.shards:
-            assert list(shard) == list(range(shard[0], shard[-1] + 1))
 
 
 class TestValidate:

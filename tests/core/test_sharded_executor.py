@@ -1,9 +1,10 @@
 """Sharded process execution: bit-identical to serial, counters included.
 
-The tentpole contract (ISSUE 6): ``join(..., shard_strategy=...)`` runs
-worker *processes* over shared-memory page blocks, yet the merged pairs
-list, every report counter, and every simulated-I/O recorder counter
-match the serial run exactly.  Shard-attributed counters
+The contract: ``join(..., workers=k)`` (or ``shard_strategy=`` with a
+prepared plan) runs worker *processes* over shared-memory page blocks,
+yet the merged pairs list, every report counter, and every simulated-I/O
+recorder counter match the serial run exactly, for the planner's
+affinity plan and for hand-built contiguous and strided partitions.  Shard-attributed counters
 (``executor.shard.*``) are the only additions, and their per-shard sums
 equal the serial totals.
 """
@@ -16,7 +17,7 @@ import pytest
 from repro.core.clusters import Cluster
 from repro.core.executor import execute_clusters_sharded
 from repro.core.join import IndexedDataset, join
-from repro.core.planner import SHARD_STRATEGIES, ShardPlan
+from repro.core.planner import ShardPlan
 from repro.core.sharding import resolve_start_method
 from repro.obs import (
     BATCHING_VARIANT_COUNTERS,
@@ -79,44 +80,51 @@ class TestJoinSharded:
         assert sharded.pairs == serial.pairs  # list order included
         assert _report_counters(sharded) == _report_counters(serial)
 
-    @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
-    def test_text_self_join_all_strategies(self, strategy):
+    @pytest.mark.parametrize("strategy", ["affinity", "chunk", "roundrobin"])
+    def test_text_self_join_all_strategies(self, strategy, shard_strategy_for):
         rng = np.random.default_rng(7)
         text = "".join(rng.choice(list("ACGT"), size=1500))
         ds = IndexedDataset.from_string(
             text, window_length=12, windows_per_page=64, dataset_id="G"
         )
-        serial = join(ds, ds, 2, method="sc", buffer_pages=8, workers=1)
+        serial = join(
+            ds, ds, 2, method="sc", buffer_pages=8, workers=1, keep_details=True
+        )
         sharded = join(
-            ds, ds, 2, method="sc", buffer_pages=8,
-            workers=2, shard_strategy=strategy,
+            ds, ds, 2, method="sc", buffer_pages=8, workers=2,
+            shard_strategy=shard_strategy_for(strategy, len(serial.clusters), 2),
         )
         assert sharded.pairs == serial.pairs
         assert _report_counters(sharded) == _report_counters(serial)
 
-    def test_dtw_self_join(self, rng):
+    def test_dtw_self_join(self, rng, hand_built_shard_plan):
         seq = rng.normal(size=600).cumsum()
         ds = IndexedDataset.from_time_series(
             seq, window_length=12, windows_per_page=32, dtw_band=2, dataset_id="W"
         )
-        serial = join(ds, ds, 0.5, method="sc", buffer_pages=10, workers=1)
+        serial = join(
+            ds, ds, 0.5, method="sc", buffer_pages=10, workers=1, keep_details=True
+        )
         sharded = join(
-            ds, ds, 0.5, method="sc", buffer_pages=10,
-            workers=3, shard_strategy="roundrobin",
+            ds, ds, 0.5, method="sc", buffer_pages=10, workers=3,
+            shard_strategy=hand_built_shard_plan(
+                "roundrobin", len(serial.clusters), 3
+            ),
         )
         assert sharded.pairs == serial.pairs
         assert _report_counters(sharded) == _report_counters(serial)
 
-    def test_per_pair_path(self, spatial):
-        """batch_pairs=1 exercises the non-megabatch worker branch."""
+    def test_per_pair_path(self, spatial, per_pair_outcome):
+        """Shard workers' cluster cascades equal per-pair joiner calls."""
         r, s = spatial
-        serial = join(r, s, 0.05, method="cc", buffer_pages=10, batch_pairs=1)
         sharded = join(
-            r, s, 0.05, method="cc", buffer_pages=10, batch_pairs=1,
+            r, s, 0.05, method="cc", buffer_pages=10, keep_details=True,
             workers=2, shard_strategy="affinity",
         )
-        assert sharded.pairs == serial.pairs
-        assert _report_counters(sharded) == _report_counters(serial)
+        per_pair = per_pair_outcome(r, s, 0.05, sharded.clusters)
+        assert sharded.pairs == per_pair.pairs
+        assert sharded.report.comparisons == per_pair.comparisons
+        assert sharded.report.cpu_seconds == per_pair.cpu_seconds
 
     def test_count_only(self, spatial):
         r, s = spatial
@@ -203,15 +211,8 @@ class TestRandomPartitionsProperty:
         """Property: EVERY partition of the schedule merges to the serial
         pairs list — correctness cannot depend on the planner's choices."""
         r, s = spatial
-        serial = join(r, s, 0.05, method="sc", buffer_pages=10)
-        # Recover the schedule length from a planned run's shard counters.
-        probe = InMemoryRecorder()
-        join(
-            r, s, 0.05, method="sc", buffer_pages=10, recorder=probe,
-            workers=2, shard_strategy="chunk",
-        )
-        counters = probe.metrics_snapshot()["counters"]
-        num_clusters = counters["executor.clusters"]
+        serial = join(r, s, 0.05, method="sc", buffer_pages=10, keep_details=True)
+        num_clusters = len(serial.clusters)
         rng = np.random.default_rng(99)
         for trial in range(3):
             assignment = rng.integers(0, 3, size=num_clusters)
@@ -259,7 +260,7 @@ class TestFailureModes:
     def test_rejects_bad_worker_count(self, spatial):
         r, s = spatial
         with pytest.raises(ValueError):
-            join(r, s, 0.05, buffer_pages=10, workers=0, shard_strategy="chunk")
+            join(r, s, 0.05, buffer_pages=10, workers=0, shard_strategy="affinity")
 
     def test_spawn_oversubscription_is_a_clear_error(self, monkeypatch):
         import multiprocessing as mp

@@ -73,9 +73,13 @@ class TestResourceViolationsRaise:
         disk = SimulatedDisk()
         pool = BufferPool(disk, 3)
         huge = Cluster(0, tuple((row, 0) for row in range(5)))
-        noop = lambda row, col, pr, ps: ([], 0, 0, 0.0)
+
+        class NoopJoiner:
+            def join_cluster(self, entries):
+                return [([], 0, 0, 0.0) for _ in entries]
+
         with pytest.raises(ValueError, match="exceeds available buffer"):
-            execute_clusters([huge], pool, r.paged, s.paged, noop)
+            execute_clusters([huge], pool, r.paged, s.paged, NoopJoiner())
 
     def test_bfrj_raises_not_thrashes(self, rng):
         r = IndexedDataset.from_points(rng.random((500, 2)), page_capacity=4)

@@ -41,13 +41,18 @@ class TestStageSpans:
         } <= names
 
     def test_per_pair_granularity_emits_refine_spans(self, vector_pair):
+        # The NLJ-family methods join page by page: one refine span per
+        # marked page pair, nested in the execution stage.
         r, s = vector_pair
         rec = InMemoryRecorder()
-        join(r, s, 0.05, method="sc", buffer_pages=10, batch_pairs=1,
-             recorder=rec)
-        names = {sp.name for sp in rec.spans}
-        assert "execute.refine" in names
-        assert "execute.megabatch" not in names
+        result = join(r, s, 0.05, method="pm-nlj", buffer_pages=10,
+                      recorder=rec)
+        spans = _spans_by_name(rec)
+        assert "execute.megabatch" not in spans
+        (execution,) = spans["join.execution"]
+        refines = spans["execute.refine"]
+        assert len(refines) == result.report.extra["marked_entries"]
+        assert {sp.parent_id for sp in refines} == {execution.span_id}
 
     def test_stage_seconds_equal_span_durations(self, vector_pair):
         r, s = vector_pair

@@ -1,13 +1,14 @@
-"""Vectorized clustering pipeline vs. the frozen scalar reference.
+"""Clustering pipeline vs. the frozen reference implementations.
 
-The CSR work-matrix implementations of SC, CC and the sharing-graph
+The production implementations of SC, CC and the sharing-graph
 scheduler must be *bit-identical* to the reference implementations in
 :mod:`repro.core.clusters_reference`: same cluster assignments in the
 same growth order, same stats counters, same sharing-graph weights and
 same greedy schedules — on random matrices of varying shape, density,
-buffer size and aspect ratio, and on the degenerate single-row /
-single-column shapes where the column sweep and the rectangle growth hit
-their boundary branches.
+buffer size and aspect ratio, on large buffers whose clusters hold
+thousands of entries, and on the degenerate single-row / single-column
+shapes where the column sweep and the rectangle growth hit their
+boundary branches.
 """
 
 import numpy as np
@@ -82,6 +83,16 @@ class TestSquareClusteringEquivalence:
     @pytest.mark.parametrize("buffer_pages", [2, 3, 7, 16])
     def test_random_matrices(self, rng, num_rows, num_cols, density, buffer_pages):
         matrix = random_matrix(rng, num_rows, num_cols, density)
+        got, got_stats = square_clustering(matrix, buffer_pages)
+        want, want_stats = square_clustering_reference(matrix, buffer_pages)
+        assert_clusters_identical(got, want)
+        assert got_stats == want_stats
+
+    @pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("buffer_pages", [64, 256])
+    def test_large_clusters(self, rng, density, buffer_pages):
+        # 128 x 128 up to fully marked: clusters of up to (B/2)^2 entries.
+        matrix = random_matrix(rng, 128, 128, density)
         got, got_stats = square_clustering(matrix, buffer_pages)
         want, want_stats = square_clustering_reference(matrix, buffer_pages)
         assert_clusters_identical(got, want)

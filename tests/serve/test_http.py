@@ -254,6 +254,40 @@ class TestInputGuards:
         assert "finite" in body["error"]
         assert _call(server, "GET", "/datasets")[1]["datasets"] == []
 
+    def test_non_finite_append_is_400(self, server):
+        rng = np.random.default_rng(1)
+        _call(
+            server,
+            "POST",
+            "/datasets",
+            {"id": "v", "kind": "vector", "vectors": rng.random((50, 2)).tolist(),
+             "page_capacity": 8},
+        )
+        _call(
+            server,
+            "POST",
+            "/datasets",
+            {"id": "t", "kind": "series",
+             "values": rng.normal(size=200).cumsum().tolist(),
+             "window_length": 16, "windows_per_page": 32},
+        )
+        before = _call(server, "GET", "/datasets")[1]["datasets"]
+        rows = rng.random((10, 2)).tolist()
+        rows[3][0] = float("inf")
+        for dataset_id, body in (
+            ("v", {"vectors": rows}),
+            ("t", {"values": [0.5, float("nan"), 1.0] * 10}),
+        ):
+            status, reply = _call(
+                server, "POST", f"/datasets/{dataset_id}/pages", body
+            )
+            assert status == 400
+            assert "finite" in reply["error"]
+        assert _call(server, "GET", "/datasets")[1]["datasets"] == before
+        assert _call(server, "GET", "/healthz")[1]["counters"].get(
+            "serving.appends", 0
+        ) == 0
+
     def test_workers_other_than_one_is_400(self, server):
         _call(
             server,

@@ -84,6 +84,54 @@ class TestWarmPath:
             sess.register("g", _text_dataset())
 
 
+class TestResultMemoBounds:
+    """The memo is bounded by total memoised pairs, not only by count."""
+
+    def _memoised(self, sess, epsilon):
+        """Warm ``epsilon`` into the memo; returns its pair count."""
+        sess.join("g", "g", epsilon=epsilon)  # cold: builds the matrix
+        return sess.join("g", "g", epsilon=epsilon)["num_pairs"]  # memoised
+
+    def _memo_hit(self, sess, epsilon):
+        return sess.join("g", "g", epsilon=epsilon).get("result_cache") == "hit"
+
+    def test_payload_above_bound_is_not_memoised(self, monkeypatch):
+        from repro.serve import session as session_module
+
+        sess = _session()
+        sess.register("g", _text_dataset())
+        pairs = self._memoised(sess, 2.0)
+        assert pairs > 0 and self._memo_hit(sess, 2.0)
+        sess.evict("g")
+        monkeypatch.setattr(session_module, "_RESULT_MEMO_MAX_PAIRS", pairs - 1)
+        sess.register("g", _text_dataset())
+        self._memoised(sess, 2.0)
+        assert not self._memo_hit(sess, 2.0)
+        assert sess._results == {} and sess._memo_pairs == 0
+
+    def test_fifo_eviction_until_total_fits(self, monkeypatch):
+        from repro.serve import session as session_module
+
+        sess = _session()
+        sess.register("g", _text_dataset())
+        small = self._memoised(sess, 1.0)
+        large = self._memoised(sess, 2.0)
+        assert 0 < small < large
+        assert sess._memo_pairs == small + large
+        sess.evict("g")
+        assert sess._memo_pairs == 0
+        # Room for the larger payload, not for both.
+        monkeypatch.setattr(session_module, "_RESULT_MEMO_MAX_PAIRS", large)
+        sess.register("g", _text_dataset())
+        self._memoised(sess, 1.0)
+        self._memoised(sess, 2.0)  # evicts the older, smaller entry
+        assert sess._memo_pairs == large
+        assert self._memo_hit(sess, 2.0)
+        assert not self._memo_hit(sess, 1.0)  # re-memoised: evicts 2.0
+        assert sess._memo_pairs == small
+        assert not self._memo_hit(sess, 2.0)
+
+
 class TestIncrementalAppend:
     """Appends must be bit-identical to cold-rebuilding the final state."""
 
@@ -191,6 +239,37 @@ class TestIncrementalAppend:
         sess.register("t", dataset)
         with pytest.raises(ConfigError):
             sess.append("t", rng.normal(size=50).cumsum())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_append_rejected_before_any_patch(self, bad):
+        rng = np.random.default_rng(8)
+        sess = _session()
+        sess.register(
+            "v", IndexedDataset.from_points(rng.random((200, 2)), page_capacity=16),
+            page_capacity=16,
+        )
+        values = rng.normal(size=300).cumsum()
+        sess.register(
+            "t",
+            IndexedDataset.from_time_series(values, window_length=16,
+                                            windows_per_page=32),
+        )
+        baseline = {ds: sess.join(ds, ds, epsilon=0.3) for ds in ("v", "t")}
+        before = {ds: sess.describe(ds) for ds in ("v", "t")}
+        rows = rng.random((20, 2))
+        rows[5, 1] = bad
+        suffix = rng.normal(size=60)
+        suffix[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sess.append("v", rows)
+        with pytest.raises(ValueError, match="finite"):
+            sess.append("t", suffix)
+        # Nothing moved: same snapshot, same fingerprint, same warm state.
+        assert {ds: sess.describe(ds) for ds in ("v", "t")} == before
+        for ds in ("v", "t"):
+            again = sess.join(ds, ds, epsilon=0.3)
+            assert again["pairs"] == baseline[ds]["pairs"]
+            assert again["matrix_cache"] != "miss"
 
     def test_cross_join_matrix_patched_on_one_side(self):
         sess = _session()

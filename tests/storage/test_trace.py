@@ -143,8 +143,11 @@ class TestTraceValidatesSchedules:
         disk = SimulatedDisk()
         trace = AccessTrace.attach(disk)
         pool = BufferPool(disk, 10)
-        noop = lambda row, col, pr, ps: ([], 0, 0, 0.0)
-        execute_clusters(ordered, pool, r.paged, s.paged, noop)
+        class NoopJoiner:  # I/O accounting only
+            def join_cluster(self, entries):
+                return [([], 0, 0, 0.0) for _ in entries]
+
+        execute_clusters(ordered, pool, r.paged, s.paged, NoopJoiner())
         summary = trace.summary()
         assert summary.total_reads > 0
         assert summary.mean_run_length > 1.0  # batched, not random
