@@ -8,7 +8,7 @@ buffer-efficient clusters (Theorem 2, observation 2).
 
 import pytest
 
-from repro.core.costcluster import cost_clustering
+from repro.core.costcluster import LinearDiskModelCost, cost_clustering
 from repro.core.sweep import build_prediction_matrix
 from repro.experiments.figures import SPATIAL_EPSILON, lbeach_mcounty
 from repro.storage.buffer import BufferPool
@@ -26,31 +26,33 @@ def _setup():
     pool = BufferPool(disk, BUFFER)
     pool.attach(r.paged)
     pool.attach(s.paged)
-    r_id, s_id = r.paged.dataset_id, s.paged.dataset_id
+    layout = LinearDiskModelCost.from_disk(
+        disk, r.paged.dataset_id, s.paged.dataset_id, r.num_pages, s.num_pages
+    )
+    return matrix, layout
 
-    def page_cost(rows, cols):
-        keys = {(r_id, row) for row in rows} | {(s_id, col) for col in cols}
-        return disk.cost_of_read_set(keys)
 
-    return matrix, page_cost
+def _read_cost(layout, cluster):
+    """The cluster's cold read cost, as ``disk.cost_of_read_set`` prices it."""
+    return layout.page_set_io(cluster.rows, cluster.cols)[2]
 
 
 @pytest.mark.parametrize("bins", [1, 32])
 def test_cc_seeding(benchmark, bins):
-    matrix, page_cost = _setup()
+    matrix, layout = _setup()
     clusters, stats = benchmark.pedantic(
-        lambda: cost_clustering(matrix, BUFFER, page_cost, histogram_bins=bins),
+        lambda: cost_clustering(matrix, BUFFER, layout, histogram_bins=bins),
         rounds=1, iterations=1,
     )
-    total_cost = sum(page_cost(c.rows, c.cols) for c in clusters)
+    total_cost = sum(_read_cost(layout, c) for c in clusters)
     print(f"\nhistogram bins={bins}: clusters={len(clusters)}, "
           f"summed read cost={total_cost:.3f}s, expansions={stats.expansion_steps}")
 
 
 def test_density_seeding_not_worse():
-    matrix, page_cost = _setup()
+    matrix, layout = _setup()
     cost_by_bins = {}
     for bins in (1, 32):
-        clusters, _ = cost_clustering(matrix, BUFFER, page_cost, histogram_bins=bins)
-        cost_by_bins[bins] = sum(page_cost(c.rows, c.cols) for c in clusters)
+        clusters, _ = cost_clustering(matrix, BUFFER, layout, histogram_bins=bins)
+        cost_by_bins[bins] = sum(_read_cost(layout, c) for c in clusters)
     assert cost_by_bins[32] <= cost_by_bins[1] * 1.10

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.costcluster import cost_clustering
+from repro.core.costcluster import LinearDiskModelCost, cost_clustering
 from repro.core.executor import ExecutionOutcome, execute_clusters
 from repro.core.join import IndexedDataset, _make_joiner, join
 from repro.core.square import square_clustering
@@ -43,6 +43,9 @@ from repro.experiments.figures import (
 )
 from repro.index.rstar import RStarTree, build_spatial_page_index
 from repro.kernels import dtw_batch, edit_batch, encode_strings, minkowski_pairs
+from repro.kernels.backends import KernelBackend
+from repro.kernels.dtw import _dtw_chunk
+from repro.kernels.edit import _edit_chunk
 from repro.obs import NULL_RECORDER
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
@@ -102,11 +105,15 @@ def test_cost_clustering_speed(benchmark):
     matrix, _ = build_prediction_matrix(
         r.index.root, s.index.root, SPATIAL_EPSILON, r.num_pages, s.num_pages
     )
+    disk = SimulatedDisk()
+    pool = BufferPool(disk, 12)
+    pool.attach(r.paged)
+    pool.attach(s.paged)
+    layout = LinearDiskModelCost.from_disk(
+        disk, r.paged.dataset_id, s.paged.dataset_id, r.num_pages, s.num_pages
+    )
     clusters, _stats = benchmark.pedantic(
-        lambda: cost_clustering(
-            matrix, 12, lambda rows, cols: float(len(rows) + len(cols))
-        ),
-        rounds=1, iterations=1,
+        lambda: cost_clustering(matrix, 12, layout), rounds=1, iterations=1,
     )
     assert clusters
 
@@ -188,10 +195,11 @@ def test_refinement_kernel_speedup(record_json):
     assert edit_speedup >= 3.0
 
 
-# -- kernel backends (ISSUE 8) -----------------------------------------------------
+# -- kernel backends ---------------------------------------------------------------
 #
-# Every registered backend against the frozen numpy reference kernels,
-# on two workloads: *survivor-heavy* (perturbed pairs — what the DP
+# The production KernelBackend (wavefront sweeps, keyed "wavefront")
+# against a backend running the row-by-row reference kernels (the test
+# oracle, keyed "numpy"), on two workloads: *survivor-heavy* (perturbed pairs — what the DP
 # actually sees after LB_Keogh / frequency-distance filtering, where
 # most pairs run the full band) and *abandon-heavy* (distant pairs that
 # die within a few rows — recorded for honesty, not gated: a row is only
@@ -205,9 +213,20 @@ def test_refinement_kernel_speedup(record_json):
 # incomparable with the committed full-run baseline.
 
 
-def test_kernel_backend_speedup(record_json):
-    from repro.kernels import registered_backends
+class _RowKernelBackend(KernelBackend):
+    """The row-by-row DP kernels behind the backend hooks."""
 
+    name = "numpy"
+
+    def dtw_chunk(self, a, b, band, max_dist):
+        return _dtw_chunk(a, b, band, max_dist)
+
+    def edit_chunk(self, a, b, max_dist):
+        return _edit_chunk(a, b, max_dist)
+
+
+def test_kernel_backend_speedup(record_json):
+    rows_backend, wavefront = _RowKernelBackend(), KernelBackend()
     rng = np.random.default_rng(8)
     pairs, w, band = 4_000, 64, 4
     repeats = 2 if QUICK else 3
@@ -238,38 +257,33 @@ def test_kernel_backend_speedup(record_json):
     for workload, (b, rc) in workloads.items():
         rows = {}
         base_dtw_s, base_dtw = _best_of(
-            lambda b=b: dtw_batch(a, b, band, max_dist=eps, backend="numpy"),
+            lambda b=b: dtw_batch(a, b, band, max_dist=eps, backend=rows_backend),
             repeats=repeats,
         )
         base_edit_s, base_edit = _best_of(
-            lambda rc=rc: edit_batch(lc, rc, limit, backend="numpy"),
+            lambda rc=rc: edit_batch(lc, rc, limit, backend=rows_backend),
             repeats=repeats,
         )
         rows["numpy"] = {"dtw_seconds": base_dtw_s, "edit_seconds": base_edit_s}
-        for name in registered_backends():
-            if name == "numpy":
-                continue
-            dtw_s, dtw_out = _best_of(
-                lambda b=b, name=name: dtw_batch(
-                    a, b, band, max_dist=eps, backend=name
-                ),
-                repeats=repeats,
-            )
-            edit_s, edit_out = _best_of(
-                lambda rc=rc, name=name: edit_batch(lc, rc, limit, backend=name),
-                repeats=repeats,
-            )
-            assert np.array_equal(dtw_out, base_dtw)
-            assert np.array_equal(edit_out, base_edit)
-            rows[name] = {
-                "dtw_seconds": dtw_s,
-                "edit_seconds": edit_s,
-                "dtw": {"speedup": base_dtw_s / dtw_s},
-                "edit": {"speedup": base_edit_s / edit_s},
-                "combined": {
-                    "speedup": (base_dtw_s + base_edit_s) / (dtw_s + edit_s)
-                },
-            }
+        dtw_s, dtw_out = _best_of(
+            lambda b=b: dtw_batch(a, b, band, max_dist=eps, backend=wavefront),
+            repeats=repeats,
+        )
+        edit_s, edit_out = _best_of(
+            lambda rc=rc: edit_batch(lc, rc, limit, backend=wavefront),
+            repeats=repeats,
+        )
+        assert np.array_equal(dtw_out, base_dtw)
+        assert np.array_equal(edit_out, base_edit)
+        rows["wavefront"] = {
+            "dtw_seconds": dtw_s,
+            "edit_seconds": edit_s,
+            "dtw": {"speedup": base_dtw_s / dtw_s},
+            "edit": {"speedup": base_edit_s / edit_s},
+            "combined": {
+                "speedup": (base_dtw_s + base_edit_s) / (dtw_s + edit_s)
+            },
+        }
         section[workload] = rows
 
     record_json("kernel_backends", section)
@@ -863,7 +877,6 @@ def test_clustering_pipeline_speedup(record_json):
         greedy_cluster_order_reference,
         square_clustering_reference,
     )
-    from repro.core.costcluster import LinearDiskModelCost
     from repro.core.schedule import greedy_cluster_order
 
     # Same workload in QUICK mode (fewer repeats only): the regression

@@ -4,9 +4,10 @@ Starts a real ``repro serve`` process, then drives the documented
 lifecycle over HTTP: register a genome-style dataset, cold join, append
 pages, warm join.  Asserts the serving contracts end to end — the warm
 join is a cache hit with zero matrix seconds and no sweep counters, the
-session counts ``serving.warm_hits``, and a requested EXPLAIN artifact
-validates against the schema — and writes the whole exchange to a JSON
-trace for the CI artifact upload.
+session counts ``serving.warm_hits``, a requested EXPLAIN artifact
+validates against the schema, and a join field outside the accepted set
+is refused with 400 — and writes the whole exchange to a JSON trace for
+the CI artifact upload.
 
 Usage::
 
@@ -123,6 +124,19 @@ def main(argv) -> int:
         )
         validate_explain(explained["explain"])
 
+        try:
+            call(
+                "POST",
+                "/join",
+                {"r": "genome", "epsilon": 1.0, "shard_strategy": "affinity"},
+            )
+        except urllib.error.HTTPError as error:
+            rejected_status, rejected = error.code, json.loads(error.read())
+        else:
+            raise AssertionError("an unknown /join field was accepted")
+        assert rejected_status == 400, (rejected_status, rejected)
+        assert "shard_strategy" in rejected["error"], rejected
+
         _, final_health = call("GET", "/healthz")
         counters = final_health["counters"]
         assert counters["serving.warm_hits"] >= 1, counters
@@ -134,13 +148,15 @@ def main(argv) -> int:
             "append": appended,
             "warm": {k: v for k, v in warm.items() if k != "pairs"},
             "explain": explained["explain"],
+            "rejected": rejected,
         }
         with open(trace_out, "w") as fh:
             json.dump(trace, fh, indent=2, sort_keys=True)
         print(
             f"serve smoke ok: cold miss -> append ({appended['pages_before']}"
             f"->{appended['pages_after']} pages) -> warm hit "
-            f"(matrix_seconds=0.0), explain artifact valid; "
+            f"(matrix_seconds=0.0), explain artifact valid, unknown "
+            f"field refused with 400; "
             f"trace written to {trace_out}"
         )
         return 0

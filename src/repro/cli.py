@@ -172,11 +172,6 @@ def _add_join(subcommands) -> None:
                      help="sketch prefilter cascade: unmark cells whose "
                           "estimated collision mass is negligible, "
                           "calibrated to --recall-target")
-    cmd.add_argument("--kernel-backend", default=None,
-                     help="refinement kernel substrate (numpy or "
-                          "wavefront); default: the "
-                          "REPRO_KERNEL_BACKEND env var, then 'wavefront'. "
-                          "All backends are bit-identical")
     cmd.add_argument("--recall-target", type=float, default=0.99,
                      help="approximate prefilter's calibration target: "
                           "estimated fraction of result pairs that must "
@@ -195,6 +190,19 @@ def _add_join(subcommands) -> None:
 
 
 def _run_join(args) -> int:
+    from repro.errors import ConfigError
+
+    # Rejected inputs (a negative or NaN epsilon, a one-page buffer, an
+    # out-of-range recall target, non-finite data) are user errors: report
+    # them without a traceback.
+    try:
+        return _join_files(args)
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _join_files(args) -> int:
     from repro.core.join import IndexedDataset, join
 
     if args.kind == "points":
@@ -229,24 +237,17 @@ def _run_join(args) -> int:
 
         prefilter = PrefilterConfig(recall_target=args.recall_target)
 
-    from repro.errors import ConfigError
-
-    try:
-        result = join(
-            left, right, args.epsilon,
-            method=args.method,
-            buffer_pages=args.buffer_pages,
-            seed=args.seed,
-            count_only=args.pairs_out is None,
-            recorder=recorder,
-            workers=args.workers,
-            prefilter=prefilter,
-            kernel_backend=args.kernel_backend,
-            explain=args.explain_out is not None,
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = join(
+        left, right, args.epsilon,
+        method=args.method,
+        buffer_pages=args.buffer_pages,
+        seed=args.seed,
+        count_only=args.pairs_out is None,
+        recorder=recorder,
+        workers=args.workers,
+        prefilter=prefilter,
+        explain=args.explain_out is not None,
+    )
     report = result.report
     print(f"{result.num_pairs} pairs within epsilon={args.epsilon}")
     info = report.extra.get("prefilter")

@@ -21,10 +21,13 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from repro.core.clusters import Cluster
-from repro.core.costcluster import CostClusteringStats, PageSetCost
+from repro.core.costcluster import CostClusteringStats
 from repro.core.prediction import PredictionMatrix
 from repro.core.square import SquareClusteringStats
 from repro.core.ta import threshold_argmin
+
+# Cost of reading the pages named by (row_pages, col_pages).
+PageSetCost = Callable[[Set[int], Set[int]], float]
 
 __all__ = [
     "square_clustering_reference",

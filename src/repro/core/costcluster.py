@@ -14,34 +14,31 @@ CC builds one cluster at a time:
 3. growth stops when the cluster's pages fill the buffer; all marked
    entries inside the final rectangle are assigned and removed.
 
-The exact cost callback receives the cluster's marked row and column page
-sets and returns the optimally-scheduled read cost under the linear disk
-model (random seek + sequential transfer), so CC prefers dense clusters
-with pages that are physically adjacent — the paper uses it as an
-approximate lower bound on achievable I/O cost.  The paper bounds CC by
-O(e^{3/2}) cost evaluations; what this implementation removes is the cost
-*per evaluation*.  Passing a :class:`LinearDiskModelCost` (the structured
-form of ``disk.cost_of_read_set``) lets each TA expansion step compute
-its exact cost delta incrementally: the cluster's physical blocks live in
-a presence bitmap with running transfer/adjacency counters, so evaluating
-a candidate move touches only the pages the move would add, instead of
-re-sorting and re-scheduling the whole page set per candidate.  The
-resulting ``(transfers, seeks)`` integers feed the same
-:meth:`CostModel.io_cost` expression the full scheduler uses, which keeps
-every float — and therefore every growth decision — bit-identical to the
-frozen reference
-(:func:`repro.core.clusters_reference.cost_clustering_reference`).
-
-A plain callable ``page_set_cost`` is still accepted; it is evaluated on
-materialised page sets exactly like the reference (for custom cost models
-in tests and ablations).
+The exact cost of a cluster is the optimally-scheduled read cost of its
+marked row and column pages under the linear disk model (random seek +
+sequential transfer), so CC prefers dense clusters with pages that are
+physically adjacent — the paper uses it as an approximate lower bound on
+achievable I/O cost.  The paper bounds CC by O(e^{3/2}) cost
+evaluations; what this implementation removes is the cost *per
+evaluation*.  The page layout arrives as a :class:`LinearDiskModelCost`
+(the structured form of ``disk.cost_of_read_set``), which lets each TA
+expansion step compute its exact cost delta incrementally: the cluster's
+physical blocks live in a presence bitmap with running transfer/adjacency
+counters, so evaluating a candidate move touches only the pages the move
+would add, instead of re-sorting and re-scheduling the whole page set
+per candidate.  The resulting ``(transfers, seeks)`` integers feed the
+same :meth:`CostModel.io_cost` expression the full scheduler uses, which
+keeps every float — and therefore every growth decision — bit-identical
+to the frozen reference
+(:func:`repro.core.clusters_reference.cost_clustering_reference`), which
+takes the equivalent page-set callable.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Set, Tuple, Union
+from typing import Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,12 +50,8 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 __all__ = [
     "cost_clustering",
     "CostClusteringStats",
-    "PageSetCost",
     "LinearDiskModelCost",
 ]
-
-# Cost of reading the pages named by (row_pages, col_pages).
-PageSetCost = Callable[[Set[int], Set[int]], float]
 
 _DEFAULT_HISTOGRAM_BINS = 32
 
@@ -276,7 +269,7 @@ class _Rectangle:
 def cost_clustering(
     matrix: PredictionMatrix,
     buffer_pages: int,
-    page_set_cost: Union[PageSetCost, LinearDiskModelCost],
+    page_set_cost: LinearDiskModelCost,
     histogram_bins: int = _DEFAULT_HISTOGRAM_BINS,
     rng: np.random.Generator | None = None,
     recorder: Recorder = NULL_RECORDER,
@@ -290,9 +283,8 @@ def cost_clustering(
     buffer_pages:
         Buffer size ``B``; every cluster satisfies ``rows + cols <= B``.
     page_set_cost:
-        Either a :class:`LinearDiskModelCost` (the fast path — exact
-        deltas maintained incrementally) or a plain callable evaluated on
-        (row-pages, col-pages) sets per candidate.
+        The physical page layout and cost model the exact read costs are
+        priced under (see :meth:`LinearDiskModelCost.from_disk`).
     histogram_bins:
         Density histogram resolution per axis (clipped to matrix shape).
     rng:
@@ -450,24 +442,18 @@ def _grow_cluster(
     seed_col: int,
     seed_id: int,
     buffer_pages: int,
-    page_set_cost: Union[PageSetCost, LinearDiskModelCost],
+    spec: LinearDiskModelCost,
     stats: CostClusteringStats,
     in_rect: np.ndarray,
     dead_row_ids: Optional[np.ndarray],
     dead_csc_ids: Optional[np.ndarray],
 ) -> _Rectangle:
     rect = _Rectangle(seed_row, seed_col, seed_id, in_rect)
-    incremental = isinstance(page_set_cost, LinearDiskModelCost)
-    blocks: Optional[_BlockSet] = None
-    if incremental:
-        spec = page_set_cost
-        blocks = _BlockSet(
-            int(max(spec.row_blocks.max(initial=0), spec.col_blocks.max(initial=0)))
-        )
-        blocks.insert(_page_blocks(spec, rect.rows, rect.cols))
-        base_cost = spec.cost_model.io_cost(blocks.transfers, blocks.seeks)
-    else:
-        base_cost = page_set_cost(set(rect.rows), set(rect.cols))
+    blocks = _BlockSet(
+        int(max(spec.row_blocks.max(initial=0), spec.col_blocks.max(initial=0)))
+    )
+    blocks.insert(_page_blocks(spec, rect.rows, rect.cols))
+    base_cost = spec.cost_model.io_cost(blocks.transfers, blocks.seeks)
     stats.cost_evaluations += 1
 
     # Live rows/columns are static while one cluster grows (removal
@@ -500,14 +486,10 @@ def _grow_cluster(
 
     def exact_delta(move: _Move) -> float:
         stats.cost_evaluations += 1
-        if incremental:
-            if move.blocks is None:
-                move.blocks = _move_blocks(spec, rect, move)
-            transfers, seeks = blocks.preview(move.blocks)
-            return spec.cost_model.io_cost(transfers, seeks) - base_cost
-        new_rows = rect.rows | set(move.added_rows)
-        new_cols = rect.cols | set(move.added_cols)
-        return page_set_cost(new_rows, new_cols) - base_cost
+        if move.blocks is None:
+            move.blocks = _move_blocks(spec, rect, move)
+        transfers, seeks = blocks.preview(move.blocks)
+        return spec.cost_model.io_cost(transfers, seeks) - base_cost
 
     while rect.num_pages < buffer_pages and work.num_marked > rect.num_entries:
         moves = _candidate_moves(
@@ -545,10 +527,9 @@ def _grow_cluster(
         new_col_count = len(rect.cols | set(best_move.added_cols))
         if new_row_count + new_col_count > buffer_pages:
             break
-        if incremental:
-            if best_move.blocks is None:
-                best_move.blocks = _move_blocks(spec, rect, best_move)
-            blocks.insert(best_move.blocks)
+        if best_move.blocks is None:
+            best_move.blocks = _move_blocks(spec, rect, best_move)
+        blocks.insert(best_move.blocks)
         if best_move.kind == "row":
             outward = best_move.new_bound > rect.row_hi
             rect.apply(best_move)

@@ -155,8 +155,9 @@ def execute_clusters_sharded(
 
     Runs serially when shared memory is unavailable on the platform
     (counter ``executor.shard.fallback_serial``).  Raises ``ValueError``
-    for joiners without a picklable shard recipe (custom joiners — run
-    those through :func:`execute_clusters`) and ``RuntimeError`` when a
+    for joiners without a picklable shard recipe (custom joiners, or
+    built-in ones on a substituted kernel backend — run those through
+    :func:`execute_clusters`) and ``RuntimeError`` when a
     worker process dies or the start-method validation fails.
     """
     if workers < 1:
@@ -173,7 +174,8 @@ def execute_clusters_sharded(
     if not shardable_joiner(page_pair_join):
         raise ValueError(
             f"joiner {type(page_pair_join).__name__} cannot be shipped to "
-            "shard processes; run it serially (execute_clusters) instead"
+            "shard processes (workers rebuild built-in joiners on the default "
+            "kernel backend); run it serially (execute_clusters) instead"
         )
     if not shm_available():  # pragma: no cover - platform without shm
         recorder.count("executor.shard.fallback_serial")

@@ -54,8 +54,8 @@ from repro.core.executor import (
     execute_clusters,
     execute_clusters_sharded,
 )
+from repro.core.filtering import DEFAULT_MAX_ROUNDS
 from repro.core.joiners import make_numeric_joiner, make_text_joiner, text_dp_weight
-from repro.kernels.backends import resolve_backend
 from repro.core.pm_nlj import pm_nlj_join
 from repro.core.prediction import PredictionMatrix
 from repro.core.schedule import greedy_cluster_order
@@ -287,7 +287,6 @@ def join(
     method: str = "sc",
     buffer_pages: int = 100,
     cost_model: Optional[CostModel] = None,
-    max_filter_rounds: int = 5,
     seed: int = 0,
     keep_details: bool = False,
     sc_target_aspect: float = 1.0,
@@ -298,9 +297,7 @@ def join(
     recorder: Optional[Recorder] = None,
     shard_strategy=None,
     prefilter: "None | str | PrefilterConfig" = None,
-    kernel_backend=None,
     explain: bool = False,
-    explain_meta: Optional[dict] = None,
 ) -> JoinResult:
     """Join two indexed datasets: all object pairs within ``epsilon``.
 
@@ -341,20 +338,10 @@ def join(
         :class:`~repro.core.planner.ShardPlan`.  ``None`` (default) means
         ``"affinity"`` when ``workers > 1`` and serial execution
         otherwise; setting it with ``workers=1`` runs one shard process.
-    kernel_backend:
-        The refinement-kernel substrate (see
-        :mod:`repro.kernels.backends`): a registered backend name
-        (``"numpy"``, ``"wavefront"``), a
-        :class:`~repro.kernels.backends.KernelBackend` instance, or
-        ``None`` to fall back to the ``REPRO_KERNEL_BACKEND``
-        environment variable and then the default.  Every registered
-        backend is bit-identical on pairs, distances and counters, so
-        this only changes speed.  Unknown names raise
-        :class:`repro.errors.ConfigError` before any work starts.
     matrix_cache:
         Directory of the prediction-matrix cache.  When set, the matrix
         is loaded from the cache if a build keyed by (both datasets'
-        structural fingerprints, ε, ``max_filter_rounds``) was saved
+        structural fingerprints, ε) was saved
         before — skipping the sweep entirely, with zero sweep operations
         charged — and is saved there after a fresh build otherwise.
         Competitor methods (which build no matrix) ignore it.  See
@@ -396,11 +383,9 @@ def join(
         the default null one.  Off by default and entirely skipped then —
         the explain-off hot path stays under the NullRecorder overhead
         gate.
-    explain_meta:
-        Extra key/value pairs merged into the EXPLAIN artifact's meta
-        block (ignored when ``explain`` is off).  The serving layer tags
-        artifacts with the request id and resident-dataset fingerprints
-        this way.
+
+    The prediction matrix runs the paper's K = 5 filter rounds
+    (:data:`repro.core.filtering.DEFAULT_MAX_ROUNDS`).
     """
     if method not in JOIN_METHODS:
         raise ValueError(f"unknown join method {method!r}; expected one of {JOIN_METHODS}")
@@ -417,10 +402,6 @@ def join(
             f"prefilter requires a clustering method (sc, rand-sc, cc), "
             f"got method={method!r}"
         )
-    # Resolve eagerly: a typo'd backend (env var or kwarg) raises
-    # ConfigError here, before any pages are read.
-    backend = resolve_backend(kernel_backend)
-
     model = cost_model or DEFAULT_COST_MODEL
     rec = recorder if recorder is not None else NULL_RECORDER
     self_join = r is s
@@ -450,11 +431,7 @@ def join(
             r_pages=r.num_pages,
             s_pages=s.num_pages,
         )
-        if explain_meta:
-            collector.set_meta(**explain_meta)
-    joiner = _make_joiner(
-        r, s, epsilon, model, self_join, not count_only, rec, backend
-    )
+    joiner = _make_joiner(r, s, epsilon, model, self_join, not count_only, rec)
 
     if method in ("ego", "bfrj", "ekdb", "zorder"):
         return _run_competitor(
@@ -472,7 +449,7 @@ def join(
     }
     with rec.span("join.matrix") as matrix_span:
         matrix, sweep_stats, cache_state = _build_or_load_matrix(
-            r, s, epsilon, max_filter_rounds, matrix_cache, rec
+            r, s, epsilon, matrix_cache, rec
         )
         if self_join:
             matrix.keep_upper_triangle()
@@ -600,7 +577,6 @@ def _build_or_load_matrix(
     r: IndexedDataset,
     s: IndexedDataset,
     epsilon: float,
-    max_filter_rounds: int,
     matrix_cache: "str | Path | None",
     recorder: Recorder = NULL_RECORDER,
 ):
@@ -621,12 +597,11 @@ def _build_or_load_matrix(
     if matrix_cache is None:
         matrix, sweep_stats = build_prediction_matrix(
             r.index.root, s.index.root, epsilon,
-            r.num_pages, s.num_pages, max_filter_rounds=max_filter_rounds,
-            recorder=recorder,
+            r.num_pages, s.num_pages, recorder=recorder,
         )
         return matrix, sweep_stats, "off"
     key = matrix_cache_key(
-        dataset_fingerprint(r), dataset_fingerprint(s), epsilon, max_filter_rounds
+        dataset_fingerprint(r), dataset_fingerprint(s), epsilon, DEFAULT_MAX_ROUNDS
     )
     matrix = load_matrix(matrix_cache, key)
     if matrix is not None:
@@ -637,27 +612,24 @@ def _build_or_load_matrix(
         return matrix, SweepStats(), "hit"
     matrix, sweep_stats = build_prediction_matrix(
         r.index.root, s.index.root, epsilon,
-        r.num_pages, s.num_pages, max_filter_rounds=max_filter_rounds,
-        recorder=recorder,
+        r.num_pages, s.num_pages, recorder=recorder,
     )
     save_matrix(matrix, matrix_cache, key)
     return matrix, sweep_stats, "miss"
 
 
 def _make_joiner(r, s, epsilon, model, self_join, collect_pairs,
-                 recorder: Recorder = NULL_RECORDER, kernel_backend=None):
+                 recorder: Recorder = NULL_RECORDER):
     if r.kind == "text":
         assert r.features is not None and s.features is not None
         return make_text_joiner(
             r.paged, s.paged, r.features, s.features, epsilon, model, self_join,
             collect_pairs=collect_pairs, recorder=recorder,
-            kernel_backend=kernel_backend,
         )
     assert r.distance is not None
     return make_numeric_joiner(
         r.paged, s.paged, r.distance, epsilon, model, self_join,
         collect_pairs=collect_pairs, recorder=recorder,
-        kernel_backend=kernel_backend,
     )
 
 

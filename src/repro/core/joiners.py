@@ -448,7 +448,13 @@ def make_numeric_joiner(
     recorder: Recorder = NULL_RECORDER,
     kernel_backend=None,
 ) -> NumericPagePairJoiner:
-    """Joiner for vector pages (point, spatial, time-series windows)."""
+    """Joiner for vector pages (point, spatial, time-series windows).
+
+    ``kernel_backend`` is the :class:`~repro.kernels.backends.KernelBackend`
+    every kernel hook of the cascades runs through (``None``: the
+    default); a substituted backend restricts the joiner to serial
+    execution.
+    """
     return NumericPagePairJoiner(
         r_dataset,
         s_dataset,
@@ -716,7 +722,10 @@ def make_text_joiner(
     recorder: Recorder = NULL_RECORDER,
     kernel_backend=None,
 ) -> TextPagePairJoiner:
-    """Joiner for string windows: frequency filter, then banded DP."""
+    """Joiner for string windows: frequency filter, then banded DP.
+
+    ``kernel_backend`` as for :func:`make_numeric_joiner`.
+    """
     return TextPagePairJoiner(
         r_dataset,
         s_dataset,

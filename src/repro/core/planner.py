@@ -69,7 +69,6 @@ def plan_join(
     epsilon: float,
     buffer_pages: int,
     cost_model: Optional[CostModel] = None,
-    max_filter_rounds: int = 5,
 ) -> JoinPlan:
     """Predict NLJ / pm-NLJ / SC page reads and recommend a method.
 
@@ -82,8 +81,7 @@ def plan_join(
     model = cost_model or DEFAULT_COST_MODEL
     self_join = r is s
     matrix, _stats = build_prediction_matrix(
-        r.index.root, s.index.root, epsilon, r.num_pages, s.num_pages,
-        max_filter_rounds=max_filter_rounds,
+        r.index.root, s.index.root, epsilon, r.num_pages, s.num_pages
     )
     if self_join:
         matrix.keep_upper_triangle()

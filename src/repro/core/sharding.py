@@ -19,7 +19,8 @@ entry lists), and submits them to a process pool.  Each worker:
    recorder's exported state for the parent's deterministic merge.
 
 Only the built-in joiners (:class:`~repro.core.joiners.NumericPagePairJoiner`,
-:class:`~repro.core.joiners.TextPagePairJoiner`) have a picklable recipe; anything else runs serially through
+:class:`~repro.core.joiners.TextPagePairJoiner`) on the default kernel
+backend have a picklable recipe; anything else runs serially through
 :func:`repro.core.executor.execute_clusters`.
 """
 
@@ -34,6 +35,7 @@ from repro.core.joiners import (
     NumericPagePairJoiner,
     TextPagePairJoiner,
 )
+from repro.kernels.backends import KernelBackend
 from repro.obs.recorder import NULL_RECORDER, InMemoryRecorder
 from repro.storage.page import dataset_from_shm_spec, dataset_shm_spec
 from repro.storage.shm import ShmArena, ShmAttachments
@@ -110,9 +112,6 @@ def _joiner_recipe(joiner, arena: ShmArena) -> Dict[str, Any]:
         "cost_model": joiner.cost_model,
         "self_join": joiner.self_join,
         "collect_pairs": joiner.collect_pairs,
-        # Ship the backend by *name*: backend objects may hold compiled
-        # state, and workers re-resolve against their own registry.
-        "kernel_backend": joiner.kernel_backend.name,
     }
     if isinstance(joiner, NumericPagePairJoiner):
         return {"kind": "numeric", "distance": joiner.distance, **common}
@@ -131,8 +130,14 @@ def _joiner_recipe(joiner, arena: ShmArena) -> Dict[str, Any]:
 
 
 def shardable_joiner(joiner) -> bool:
-    """Whether :func:`_joiner_recipe` can ship this joiner to workers."""
-    return isinstance(joiner, (NumericPagePairJoiner, TextPagePairJoiner))
+    """Whether :func:`_joiner_recipe` can ship this joiner to workers.
+
+    Workers rebuild the joiner on the default kernel backend, so a
+    joiner built with a substituted backend must run serially.
+    """
+    return isinstance(joiner, (NumericPagePairJoiner, TextPagePairJoiner)) and (
+        type(joiner.kernel_backend) is KernelBackend
+    )
 
 
 def share_datasets(r_dataset, s_dataset, arena: ShmArena):
@@ -205,7 +210,6 @@ def _rebuild_joiner(
             recipe["self_join"],
             collect_pairs=recipe["collect_pairs"],
             recorder=recorder,
-            kernel_backend=recipe["kernel_backend"],
         )
     return TextPagePairJoiner(
         r_dataset,
@@ -217,5 +221,4 @@ def _rebuild_joiner(
         recipe["self_join"],
         collect_pairs=recipe["collect_pairs"],
         recorder=recorder,
-        kernel_backend=recipe["kernel_backend"],
     )

@@ -152,8 +152,9 @@ class DTWDistance:
         window blocks at once.  Survivors go through the batched banded
         DP (:func:`repro.kernels.dtw.dtw_batch`) in one call with
         ``epsilon`` as the shared early-abandon threshold.
-        ``kernel_backend`` picks the DP substrate (see
-        :mod:`repro.kernels.backends`); every backend is bit-identical.
+        ``kernel_backend`` is the
+        :class:`~repro.kernels.backends.KernelBackend` the DP runs on
+        (``None``: the default).
         """
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")

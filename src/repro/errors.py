@@ -8,10 +8,11 @@ class ReproError(Exception):
 
 
 class ConfigError(ReproError):
-    """Invalid configuration — e.g. an unknown kernel backend name.
+    """Invalid configuration — e.g. a numeric join over a distance the
+    joiners have no kernel cascade for.
 
-    Raised eagerly, before any work starts, so a typo'd environment
-    variable or CLI flag fails loudly instead of surfacing mid-join.
+    Raised eagerly, before any work starts, so an unsupported setup
+    fails loudly instead of surfacing mid-join.
     """
 
 

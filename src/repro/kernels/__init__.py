@@ -24,20 +24,12 @@ Modules
     Anti-diagonal rewrites of the DTW/edit DPs — batch × diagonal
     vectorisation, bit-identical to the row kernels.
 ``backends``
-    The pluggable backend registry (``numpy`` / ``wavefront``) selected
-    via ``REPRO_KERNEL_BACKEND``,
-    ``join(..., kernel_backend=...)``, or ``--kernel-backend``.
+    :class:`KernelBackend`, the object every joiner routes its DP chunk
+    kernels and panel filters through: the wavefront sweeps by default,
+    or a subclass passed to ``make_numeric_joiner`` / ``make_text_joiner``.
 """
 
-from repro.kernels.backends import (
-    DEFAULT_KERNEL_BACKEND,
-    KERNEL_BACKEND_ENV,
-    KernelBackend,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
+from repro.kernels.backends import KernelBackend, resolve_backend
 from repro.kernels.dtw import batch_envelopes, dtw_batch, lb_keogh_block
 from repro.kernels.edit import edit_batch, encode_strings
 from repro.kernels.minkowski import minkowski_pairs, minkowski_pairwise
@@ -51,10 +43,5 @@ __all__ = [
     "minkowski_pairs",
     "minkowski_pairwise",
     "KernelBackend",
-    "DEFAULT_KERNEL_BACKEND",
-    "KERNEL_BACKEND_ENV",
-    "register_backend",
-    "registered_backends",
-    "get_backend",
     "resolve_backend",
 ]

@@ -115,14 +115,11 @@ def dtw_batch(
     page-pair case — every window of a sequence join has the same
     length).  Returns a ``(K,)`` float64 array bit-identical to calling
     :func:`repro.distance.dtw.dtw_distance` per pair, including the
-    ``max_dist + 1`` early-abandon sentinel.  ``backend`` selects the
-    chunk kernel substrate (a name, a
-    :class:`repro.kernels.backends.KernelBackend`, or ``None`` for the
-    environment/default selection); every registered backend is
-    bit-identical, so the choice never changes results or counters
-    other than the per-backend invocation counter.
+    ``max_dist + 1`` early-abandon sentinel.  ``backend`` is the
+    :class:`repro.kernels.backends.KernelBackend` whose ``dtw_chunk``
+    runs each chunk (``None``: the default).
     """
-    # Imported lazily: backends.py imports this module for the oracle.
+    # Imported lazily: backends.py imports this module for the panel hooks.
     from repro.kernels.backends import resolve_backend
 
     kb = resolve_backend(backend)

@@ -16,6 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.kernels.backends import resolve_backend
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = ["edit_batch", "encode_strings"]
@@ -50,13 +51,10 @@ def edit_batch(
     ``a`` and ``b`` are ``(K, w)`` uint8 code matrices (see
     :func:`encode_strings`).  Returns a ``(K,)`` float64 array equal to
     calling :func:`repro.distance.edit.edit_distance` per pair with
-    ``max_dist`` as the threshold, sentinel included.  ``backend``
-    selects the chunk kernel substrate (see
-    :mod:`repro.kernels.backends`); all backends are bit-identical.
+    ``max_dist`` as the threshold, sentinel included.  ``backend`` is
+    the :class:`repro.kernels.backends.KernelBackend` whose
+    ``edit_chunk`` runs each chunk (``None``: the default).
     """
-    # Imported lazily: backends.py imports this module for the oracle.
-    from repro.kernels.backends import resolve_backend
-
     kb = resolve_backend(backend)
     a_arr = np.atleast_2d(np.asarray(a))
     b_arr = np.atleast_2d(np.asarray(b))

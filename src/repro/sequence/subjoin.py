@@ -55,7 +55,6 @@ def subsequence_join(
     workers: int = 1,
     recorder: Optional[Recorder] = None,
     prefilter=None,
-    kernel_backend=None,
     explain: bool = False,
 ) -> SubsequenceJoinResult:
     """Find all window pairs of length ``window_length`` within ``epsilon``.
@@ -103,7 +102,6 @@ def subsequence_join(
         workers=workers,
         recorder=recorder,
         prefilter=prefilter,
-        kernel_backend=kernel_backend,
         explain=explain,
     )
     return SubsequenceJoinResult(

@@ -17,10 +17,10 @@ POST   ``/join``                    Run a join against resident snapshots.
 POST   ``/subsequence_join``        Same, restricted to sliding-window data.
 ====== ============================ ==========================================
 
-Error mapping: unknown dataset → **404**; malformed payloads and config
-errors → **400**; a body over :data:`MAX_BODY_BYTES` → **413**;
-admission queue full or wait timed out → **429**; anything else →
-**500** with the exception text.
+Error mapping: unknown dataset → **404**; malformed payloads, join
+fields outside the accepted set and config errors → **400**; a body
+over :data:`MAX_BODY_BYTES` → **413**; admission queue full or wait
+timed out → **429**; anything else → **500** with the exception text.
 
 No new dependencies: ``http.server`` + ``json`` only, threads per
 request (the session is built for exactly that concurrency).
@@ -47,6 +47,13 @@ __all__ = ["JoinService", "make_server", "serve"]
 # Largest request body the daemon reads; a longer Content-Length is
 # refused with 413 before any of the body is read.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+# Every field a /join or /subsequence_join body may carry: the
+# JoinSession.join parameters, plus ``workers`` (accepted only as 1).
+_JOIN_FIELDS = frozenset({
+    "r", "s", "epsilon", "method", "buffer_pages", "prefilter", "count_only",
+    "include_pairs", "explain", "request_id", "memoize", "workers",
+})
 
 _DATASET_PATH = re.compile(r"^/datasets/([^/]+)$")
 _PAGES_PATH = re.compile(r"^/datasets/([^/]+)/pages$")
@@ -148,13 +155,19 @@ class JoinService:
     def join(
         self, body: Dict[str, Any], subsequence: bool = False
     ) -> Tuple[int, Dict[str, Any]]:
+        unknown = sorted(set(body) - _JOIN_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"unknown join field(s) {', '.join(map(repr, unknown))}; "
+                f"accepted: {', '.join(sorted(_JOIN_FIELDS))}"
+            )
         kwargs = dict(body)
         r_id = _required(kwargs, "r", str)
         s_id = str(kwargs.pop("s", r_id))
         epsilon = float(_required(kwargs, "epsilon", (int, float)))
         kwargs.pop("r", None)
         kwargs.pop("epsilon", None)
-        if kwargs.get("workers", 1) != 1:
+        if kwargs.pop("workers", 1) != 1:
             # workers > 1 forks shard processes, which the admission
             # budget (buffer frames per request) does not account for.
             raise ValueError("field 'workers' must be 1 on the join service")

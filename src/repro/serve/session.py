@@ -7,9 +7,9 @@ their fingerprint chains, the prediction matrices and per-page sketches
 machinery reads directly), and a shared admission-controlled frame
 budget.  The contracts:
 
-**Warm path.**  A repeat ``join`` with the same datasets/ε/filter depth
-hits the resident matrix: the sweep never runs, ``matrix_seconds`` is
-0.0, the sweep counters stay zero, and the session counts
+**Warm path.**  A repeat ``join`` with the same datasets and ε hits
+the resident matrix: the sweep never runs, ``matrix_seconds`` is 0.0,
+the sweep counters stay zero, and the session counts
 ``serving.warm_hits``.  Dataset fingerprints are memoised on the
 resident snapshots, so the warm path hashes nothing either.
 
@@ -22,7 +22,7 @@ state is bit-identical to a cold rebuild of the final dataset; the
 equivalence tests pin this.
 
 **Result memoisation.**  An identical repeat request (same dataset
-fingerprints, ε, method, buffer size, filter depth, pair options) is
+fingerprints, ε, method, buffer size, pair options) is
 served straight from a bounded result memo — the warmest tier above the
 resident matrix.  The memo holds at most ``_RESULT_MEMO_CAP`` entries
 and ``_RESULT_MEMO_MAX_PAIRS`` result pairs in total, evicting FIFO.
@@ -53,6 +53,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.filtering import DEFAULT_MAX_ROUNDS
 from repro.core.join import IndexedDataset, check_epsilon, join
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.obs.recorder import InMemoryRecorder
@@ -325,9 +326,7 @@ class JoinSession:
             patch_matrix(
                 work, r_ds, s_ds, changed_r, changed_s, meta["epsilon"]
             )
-            new_key = matrix_cache_key(
-                fp_r, fp_s, meta["epsilon"], meta["max_filter_rounds"]
-            )
+            new_key = matrix_cache_key(fp_r, fp_s, meta["epsilon"], DEFAULT_MAX_ROUNDS)
             self.store.replace_matrix(key, new_key, work)
             new_meta = dict(meta, fp_r=fp_r, fp_s=fp_s)
             del self._matrix_meta[key]
@@ -380,14 +379,12 @@ class JoinSession:
         epsilon: float,
         method: str = "sc",
         buffer_pages: Optional[int] = None,
-        max_filter_rounds: int = 5,
         prefilter=None,
         count_only: bool = False,
         include_pairs: bool = True,
         explain: bool = False,
         request_id: Optional[str] = None,
         memoize: bool = True,
-        **join_kwargs,
     ) -> Dict[str, Any]:
         """Run one join against the resident snapshots.
 
@@ -395,7 +392,8 @@ class JoinSession:
         shared pool first (queue-or-:class:`AdmissionRejected`).  Returns
         a JSON-ready payload with the pairs (unless suppressed), the
         per-request counters, the cache disposition and — with
-        ``explain=True`` — the full EXPLAIN artifact.
+        ``explain=True`` — the full EXPLAIN artifact, its meta stamped
+        with the request id and both dataset fingerprints.
 
         ``memoize=False`` opts the request out of the result memo (both
         lookup and fill) — it always executes, which is what
@@ -408,9 +406,7 @@ class JoinSession:
         started = time.perf_counter()
         # Repeat-request fast path: identical shapes replay the memoised
         # warm payload without admission, leases, or any join work.
-        memoizable = (
-            memoize and not explain and prefilter is None and not join_kwargs
-        )
+        memoizable = memoize and not explain and prefilter is None
         if memoizable:
             with self._mutate:
                 probe_r = self._entry(r_id)
@@ -421,7 +417,6 @@ class JoinSession:
                     epsilon,
                     method,
                     frames,
-                    max_filter_rounds,
                     count_only,
                     include_pairs,
                 )
@@ -443,7 +438,7 @@ class JoinSession:
                 r_ds, s_ds = entry_r.dataset, entry_s.dataset
                 fp_r, fp_s = entry_r.fingerprint, entry_s.fingerprint
                 key = matrix_cache_key(
-                    fp_r, fp_s, float(epsilon), max_filter_rounds
+                    fp_r, fp_s, float(epsilon), DEFAULT_MAX_ROUNDS
                 )
                 # Register provenance before running: the join computes
                 # the same key itself (fingerprints are memoised on the
@@ -457,7 +452,6 @@ class JoinSession:
                         "fp_r": fp_r,
                         "fp_s": fp_s,
                         "epsilon": float(epsilon),
-                        "max_filter_rounds": max_filter_rounds,
                     },
                 )
                 pf_config = resolve_prefilter(prefilter)
@@ -476,11 +470,6 @@ class JoinSession:
                             },
                         )
             recorder = InMemoryRecorder()
-            explain_meta = (
-                {"request_id": req, "fingerprint_r": fp_r, "fingerprint_s": fp_s}
-                if explain
-                else None
-            )
             result = join(
                 r_ds,
                 s_ds,
@@ -488,14 +477,11 @@ class JoinSession:
                 method=method,
                 buffer_pages=frames,
                 cost_model=self.cost_model,
-                max_filter_rounds=max_filter_rounds,
                 matrix_cache=self.store,
                 recorder=recorder,
                 prefilter=prefilter,
                 count_only=count_only,
                 explain=explain,
-                explain_meta=explain_meta,
-                **join_kwargs,
             )
         finally:
             ticket.release()
@@ -531,6 +517,9 @@ class JoinSession:
             payload["pairs"] = [[int(a), int(b)] for a, b in result.pairs]
         explain_artifact = report.extra.get("explain")
         if explain_artifact is not None:
+            explain_artifact.data["meta"].update(
+                request_id=req, fingerprint_r=fp_r, fingerprint_s=fp_s
+            )
             payload["explain"] = explain_artifact.data
         if memoizable and cache_state == "hit":
             # Only matrix-warm executions are memoised: their payloads
@@ -543,7 +532,6 @@ class JoinSession:
                     epsilon,
                     method,
                     frames,
-                    max_filter_rounds,
                     count_only,
                     include_pairs,
                 ),
@@ -555,7 +543,7 @@ class JoinSession:
 
     @staticmethod
     def _memo_key(
-        fp_r, fp_s, epsilon, method, frames, max_filter_rounds, count_only, include_pairs
+        fp_r, fp_s, epsilon, method, frames, count_only, include_pairs
     ) -> tuple:
         return (
             fp_r,
@@ -563,7 +551,6 @@ class JoinSession:
             float(epsilon),
             method,
             int(frames),
-            int(max_filter_rounds),
             bool(count_only),
             bool(include_pairs),
         )

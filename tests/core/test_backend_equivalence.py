@@ -1,12 +1,14 @@
-"""Cross-backend join equivalence (ISSUE 8 tentpole acceptance).
+"""Production kernels vs the row-kernel oracle on full joins.
 
-Every registered kernel backend must be *observationally identical* on
-full joins — pairs (order included), every simulated cost field, every
-recorder counter except the per-backend invocation tally itself —
-across joiner kinds (vector, DTW sequence, text), worker counts {1, 2},
-and serial vs process-sharded execution.  The per-backend counters are
-additionally checked directly: they must appear under the selected
-backend's name, and their shard sums must equal the serial totals.
+The production :class:`KernelBackend` (wavefront sweeps) must be
+*observationally identical* to a test-local backend that runs the
+row-by-row DP kernels — pairs (order included), every simulated cost
+field, every recorder counter except the per-backend invocation tally
+itself — across joiner kinds (vector, DTW sequence, text) and serial vs
+process-sharded execution.  The oracle is swapped in as the default
+backend, which only a serial join can use: shard workers rebuild their
+joiners on the production backend.  ``backend`` below names the
+reference run, ``workers`` the production run checked against it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ import pytest
 
 from repro.core.join import IndexedDataset, join
 from repro.datasets import markov_dna
-from repro.kernels import registered_backends
+from repro.kernels import backends as backends_module
+from repro.kernels.backends import KernelBackend
+from repro.kernels.dtw import _dtw_chunk
+from repro.kernels.edit import _edit_chunk
 from repro.obs import (
     BACKEND_VARIANT_COUNTER_PREFIXES,
     BATCHING_VARIANT_COUNTERS,
@@ -25,7 +30,20 @@ from repro.obs import (
 )
 from repro.storage.shm import shm_available
 
-BACKENDS = sorted(registered_backends())
+
+class RowKernelBackend(KernelBackend):
+    """The row-by-row DP kernels behind the backend hooks."""
+
+    name = "numpy"
+
+    def dtw_chunk(self, a, b, band, max_dist):
+        return _dtw_chunk(a, b, band, max_dist)
+
+    def edit_chunk(self, a, b, max_dist):
+        return _edit_chunk(a, b, max_dist)
+
+
+BACKENDS = ["numpy", "wavefront"]
 
 
 def _semantic_counters(recorder: InMemoryRecorder) -> dict:
@@ -47,13 +65,30 @@ def _backend_counters(recorder: InMemoryRecorder) -> dict:
     }
 
 
-def _run(r, s, epsilon, *, backend, workers=1, shard_strategy=None):
+def _backend_counter_values(recorder: InMemoryRecorder) -> dict:
+    """Per-backend counters keyed by kernel, the backend name dropped."""
+    return {
+        name.split(".", 3)[3]: value
+        for name, value in _backend_counters(recorder).items()
+    }
+
+
+def _run(r, s, epsilon, *, workers=1, shard_strategy=None):
     rec = InMemoryRecorder()
     result = join(
         r, s, epsilon, method="sc", buffer_pages=10, workers=workers,
-        shard_strategy=shard_strategy, kernel_backend=backend, recorder=rec,
+        shard_strategy=shard_strategy, recorder=rec,
     )
     return result, rec
+
+
+def _reference(r, s, epsilon, backend, monkeypatch):
+    """A serial join on the named backend."""
+    if backend == "numpy":
+        with monkeypatch.context() as patch:
+            patch.setattr(backends_module, "_DEFAULT", RowKernelBackend())
+            return _run(r, s, epsilon)
+    return _run(r, s, epsilon)
 
 
 def _assert_identical(baseline, candidate):
@@ -99,32 +134,32 @@ def text_pair():
 
 
 class TestBackendsIdentical:
-    """numpy is the oracle; every other backend must match it exactly."""
+    """The production join, serial and sharded, matches each reference."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_vector_join(self, vector_pair, backend, workers):
+    def test_vector_join(self, vector_pair, backend, workers, monkeypatch):
         r, s = vector_pair
-        baseline = _run(r, s, 0.05, backend="numpy", workers=workers)
-        candidate = _run(r, s, 0.05, backend=backend, workers=workers)
+        baseline = _reference(r, s, 0.05, backend, monkeypatch)
+        candidate = _run(r, s, 0.05, workers=workers)
         _assert_identical(baseline, candidate)
         assert baseline[0].num_pairs > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dtw_join(self, dtw_pair, backend, workers):
+    def test_dtw_join(self, dtw_pair, backend, workers, monkeypatch):
         r, s = dtw_pair
-        baseline = _run(r, s, 0.6, backend="numpy", workers=workers)
-        candidate = _run(r, s, 0.6, backend=backend, workers=workers)
+        baseline = _reference(r, s, 0.6, backend, monkeypatch)
+        candidate = _run(r, s, 0.6, workers=workers)
         _assert_identical(baseline, candidate)
         assert baseline[0].num_pairs > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_text_join(self, text_pair, backend, workers):
+    def test_text_join(self, text_pair, backend, workers, monkeypatch):
         r, s = text_pair
-        baseline = _run(r, s, 2.0, backend="numpy", workers=workers)
-        candidate = _run(r, s, 2.0, backend=backend, workers=workers)
+        baseline = _reference(r, s, 2.0, backend, monkeypatch)
+        candidate = _run(r, s, 2.0, workers=workers)
         _assert_identical(baseline, candidate)
         assert baseline[0].num_pairs > 0
 
@@ -133,57 +168,58 @@ class TestBackendsIdentical:
 class TestShardedBackendParity:
     """Per-backend counters are NOT sharding-variant: each worker runs
     the same clusters it would serially, so shard sums equal serial
-    totals — checked here with the backend counters *included*."""
+    totals — checked here with the backend counters *included* (by
+    kernel, since the oracle's counters carry its own name)."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dtw_join_sharded_matches_serial(self, dtw_pair, backend):
+    def test_dtw_join_sharded_matches_serial(self, dtw_pair, backend, monkeypatch):
         r, s = dtw_pair
-        serial = _run(r, s, 0.6, backend=backend)
-        sharded = _run(
-            r, s, 0.6, backend=backend, workers=2, shard_strategy="affinity"
-        )
+        serial = _reference(r, s, 0.6, backend, monkeypatch)
+        sharded = _run(r, s, 0.6, workers=2, shard_strategy="affinity")
         _assert_identical(serial, sharded)
-        assert _backend_counters(sharded[1]) == _backend_counters(serial[1])
+        assert _backend_counter_values(sharded[1]) == _backend_counter_values(serial[1])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_text_join_sharded_matches_serial(
-        self, text_pair, backend, hand_built_shard_plan
+        self, text_pair, backend, hand_built_shard_plan, monkeypatch
     ):
         r, s = text_pair
-        serial = _run(r, s, 2.0, backend=backend)
+        serial = _reference(r, s, 2.0, backend, monkeypatch)
         contiguous = hand_built_shard_plan(
             "chunk", serial[0].report.extra["num_clusters"], 2
         )
-        sharded = _run(
-            r, s, 2.0, backend=backend, workers=2, shard_strategy=contiguous
-        )
+        sharded = _run(r, s, 2.0, workers=2, shard_strategy=contiguous)
         _assert_identical(serial, sharded)
-        assert _backend_counters(sharded[1]) == _backend_counters(serial[1])
+        assert _backend_counter_values(sharded[1]) == _backend_counter_values(serial[1])
 
 
 class TestBackendObservability:
-    """Satellite 4: the backend is visible in spans and counters."""
+    """The backend is visible in spans and counters."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_megabatch_span_carries_backend_attr(self, dtw_pair, backend):
+    def test_megabatch_span_carries_backend_attr(self, dtw_pair, backend, monkeypatch):
         r, s = dtw_pair
-        _, rec = _run(r, s, 0.6, backend=backend)
+        _, rec = _reference(r, s, 0.6, backend, monkeypatch)
         spans = [sp for sp in rec.spans if sp.name == "execute.megabatch"]
         assert spans
         assert all(sp.attrs.get("kernel_backend") == backend for sp in spans)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dtw_invocation_counter_named_after_backend(self, dtw_pair, backend):
+    def test_dtw_invocation_counter_named_after_backend(
+        self, dtw_pair, backend, monkeypatch
+    ):
         r, s = dtw_pair
-        _, rec = _run(r, s, 0.6, backend=backend)
+        _, rec = _reference(r, s, 0.6, backend, monkeypatch)
         counters = _backend_counters(rec)
         assert counters.get(f"kernel.backend.{backend}.dtw.invocations", 0) > 0
-        # Only the selected backend's counters exist.
+        # Only the running backend's counters exist.
         assert all(name.startswith(f"kernel.backend.{backend}.") for name in counters)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_edit_invocation_counter_named_after_backend(self, text_pair, backend):
+    def test_edit_invocation_counter_named_after_backend(
+        self, text_pair, backend, monkeypatch
+    ):
         r, s = text_pair
-        _, rec = _run(r, s, 2.0, backend=backend)
+        _, rec = _reference(r, s, 2.0, backend, monkeypatch)
         counters = _backend_counters(rec)
         assert counters.get(f"kernel.backend.{backend}.edit.invocations", 0) > 0

@@ -3,28 +3,32 @@
 import numpy as np
 import pytest
 
-from repro.core.costcluster import cost_clustering
+from repro.core.costcluster import LinearDiskModelCost, cost_clustering
 from repro.core.prediction import PredictionMatrix
+from repro.costmodel import CostModel
 
 
-def unit_page_cost(rows, cols):
+def _layout(matrix, seek_s):
+    """Row pages then, one block apart, column pages; unit transfer cost.
+
+    The gap keeps row and column runs separate, so a page set costs
+    ``#pages + seek_s * (#row runs + #col runs)``.
+    """
+    return LinearDiskModelCost(
+        np.arange(matrix.num_rows),
+        matrix.num_rows + 1 + np.arange(matrix.num_cols),
+        CostModel(seek_s=seek_s, transfer_s=1.0),
+    )
+
+
+def unit_page_cost(matrix):
     """Cost = number of distinct pages (pure transfer counting)."""
-    return float(len(rows) + len(cols))
+    return _layout(matrix, seek_s=0.0)
 
 
-def seeky_page_cost_factory():
+def seeky_page_cost(matrix):
     """Cost with a seek penalty per non-adjacent page run."""
-
-    def cost(rows, cols):
-        total = 0.0
-        for pages in (sorted(rows), sorted(cols)):
-            if not pages:
-                continue
-            runs = 1 + sum(1 for a, b in zip(pages, pages[1:]) if b != a + 1)
-            total += len(pages) * 1.0 + runs * 5.0
-        return total
-
-    return cost
+    return _layout(matrix, seek_s=5.0)
 
 
 def random_matrix(rng, rows=25, cols=25, density=0.12):
@@ -41,33 +45,33 @@ class TestPartitionProperties:
     def test_every_entry_in_exactly_one_cluster(self, rng):
         for _ in range(5):
             matrix = random_matrix(rng)
-            clusters, _ = cost_clustering(matrix, 8, unit_page_cost)
+            clusters, _ = cost_clustering(matrix, 8, unit_page_cost(matrix))
             seen = [entry for cluster in clusters for entry in cluster.entries]
             assert sorted(seen) == sorted(matrix.entries())
 
     def test_clusters_fit_buffer(self, rng):
         for buffer_pages in (3, 6, 10):
             matrix = random_matrix(rng, density=0.25)
-            clusters, _ = cost_clustering(matrix, buffer_pages, unit_page_cost)
+            clusters, _ = cost_clustering(matrix, buffer_pages, unit_page_cost(matrix))
             for cluster in clusters:
                 assert cluster.fits_in_buffer(buffer_pages)
 
     def test_source_matrix_unmodified(self, rng):
         matrix = random_matrix(rng)
         before = matrix.num_marked
-        cost_clustering(matrix, 8, unit_page_cost)
+        cost_clustering(matrix, 8, unit_page_cost(matrix))
         assert matrix.num_marked == before
 
     def test_deterministic_without_rng(self, rng):
         matrix = random_matrix(rng)
-        a, _ = cost_clustering(matrix, 8, unit_page_cost)
-        b, _ = cost_clustering(matrix, 8, unit_page_cost)
+        a, _ = cost_clustering(matrix, 8, unit_page_cost(matrix))
+        b, _ = cost_clustering(matrix, 8, unit_page_cost(matrix))
         assert [c.entries for c in a] == [c.entries for c in b]
 
     def test_seeded_rng_reproducible(self, rng):
         matrix = random_matrix(rng)
-        a, _ = cost_clustering(matrix, 8, unit_page_cost, rng=np.random.default_rng(5))
-        b, _ = cost_clustering(matrix, 8, unit_page_cost, rng=np.random.default_rng(5))
+        a, _ = cost_clustering(matrix, 8, unit_page_cost(matrix), rng=np.random.default_rng(5))
+        b, _ = cost_clustering(matrix, 8, unit_page_cost(matrix), rng=np.random.default_rng(5))
         assert [c.entries for c in a] == [c.entries for c in b]
 
 
@@ -80,7 +84,7 @@ class TestCostAwareness:
             matrix.mark(10 + k, 10)
             matrix.mark(10, 10 + k)
         matrix.mark(29, 29)
-        clusters, _ = cost_clustering(matrix, 10, seeky_page_cost_factory())
+        clusters, _ = cost_clustering(matrix, 10, seeky_page_cost(matrix))
         main = max(clusters, key=lambda c: c.num_entries)
         assert (29, 29) not in main.entries
 
@@ -91,13 +95,13 @@ class TestCostAwareness:
             for c in range(3):
                 matrix.mark(r, c)
         matrix.mark(30, 30)
-        clusters, _ = cost_clustering(matrix, 8, unit_page_cost, histogram_bins=8)
+        clusters, _ = cost_clustering(matrix, 8, unit_page_cost(matrix), histogram_bins=8)
         first = clusters[0]
         assert all(r <= 2 and c <= 2 for r, c in first.entries)
 
     def test_stats_populated(self, rng):
         matrix = random_matrix(rng)
-        _, stats = cost_clustering(matrix, 8, unit_page_cost)
+        _, stats = cost_clustering(matrix, 8, unit_page_cost(matrix))
         assert stats.seeds_drawn >= 1
         assert stats.cost_evaluations >= 1
         assert stats.total_operations > 0
@@ -106,19 +110,23 @@ class TestCostAwareness:
 class TestEdgeCases:
     def test_rejects_tiny_buffer(self):
         with pytest.raises(ValueError):
-            cost_clustering(PredictionMatrix(2, 2), 1, unit_page_cost)
+            cost_clustering(PredictionMatrix(2, 2), 1, unit_page_cost(PredictionMatrix(2, 2)))
 
     def test_rejects_bad_bins(self):
         with pytest.raises(ValueError):
-            cost_clustering(PredictionMatrix(2, 2), 4, unit_page_cost, histogram_bins=0)
+            cost_clustering(
+                PredictionMatrix(2, 2), 4, unit_page_cost(PredictionMatrix(2, 2)),
+                histogram_bins=0,
+            )
 
     def test_empty_matrix(self):
-        clusters, _ = cost_clustering(PredictionMatrix(5, 5), 4, unit_page_cost)
+        matrix = PredictionMatrix(5, 5)
+        clusters, _ = cost_clustering(matrix, 4, unit_page_cost(matrix))
         assert clusters == []
 
     def test_single_entry(self):
         matrix = PredictionMatrix(5, 5)
         matrix.mark(2, 4)
-        clusters, _ = cost_clustering(matrix, 4, unit_page_cost)
+        clusters, _ = cost_clustering(matrix, 4, unit_page_cost(matrix))
         assert len(clusters) == 1
         assert clusters[0].entries == ((2, 4),)

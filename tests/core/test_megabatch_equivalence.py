@@ -20,7 +20,6 @@ from repro.core.executor import ExecutionOutcome, execute_clusters
 from repro.core.join import IndexedDataset, _make_joiner, join
 from repro.costmodel import DEFAULT_COST_MODEL
 from repro.datasets import markov_dna
-from repro.kernels.backends import resolve_backend
 from repro.obs import (
     BACKEND_VARIANT_COUNTER_PREFIXES,
     BATCHING_VARIANT_COUNTERS,
@@ -74,8 +73,7 @@ def _per_pair(r, s, epsilon, ordered, *, count_only=False, buffer_policy="lru"):
     pool.attach(r.paged)
     pool.attach(s.paged)
     joiner = _make_joiner(
-        r, s, epsilon, DEFAULT_COST_MODEL, r is s, not count_only, rec,
-        resolve_backend(None),
+        r, s, epsilon, DEFAULT_COST_MODEL, r is s, not count_only, rec
     )
     auditor = LemmaAuditor(rec)
     outcome = ExecutionOutcome()

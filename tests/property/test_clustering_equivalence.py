@@ -25,7 +25,7 @@ from repro.core.costcluster import LinearDiskModelCost, cost_clustering
 from repro.core.prediction import PredictionMatrix
 from repro.core.schedule import greedy_cluster_order, schedule_savings, sharing_graph
 from repro.core.square import square_clustering
-from repro.costmodel import DEFAULT_COST_MODEL
+from repro.costmodel import DEFAULT_COST_MODEL, CostModel
 
 
 def random_matrix(rng, num_rows, num_cols, density):
@@ -126,17 +126,22 @@ class TestCostClusteringEquivalence:
     @pytest.mark.parametrize("num_rows,num_cols,density", SHAPES)
     @pytest.mark.parametrize("buffer_pages", [2, 5, 12])
     def test_generic_callback(self, rng, num_rows, num_cols, density, buffer_pages):
-        """Any plain (rows, cols) -> float callback: both sides call it."""
+        """A scattered block layout (gaps, shuffled order, blocks shared by
+        a row and a column page) under a non-default cost model; the
+        reference runs the equivalent plain (rows, cols) -> float callback."""
         matrix = random_matrix(rng, num_rows, num_cols, density)
-
-        def page_set_cost(rows, cols):
-            return float(len(rows) + 2 * len(cols))
+        space = 2 * (num_rows + num_cols)
+        row_blocks = rng.choice(space, size=num_rows, replace=False)
+        col_blocks = rng.choice(space, size=num_cols, replace=False)
+        model = CostModel(seek_s=0.5, transfer_s=1.0)
+        spec = LinearDiskModelCost(row_blocks, col_blocks, model)
+        closure = linear_disk_closure(row_blocks, col_blocks, model)
 
         got, got_stats = cost_clustering(
-            matrix, buffer_pages, page_set_cost, rng=np.random.default_rng(7)
+            matrix, buffer_pages, spec, rng=np.random.default_rng(7)
         )
         want, want_stats = cost_clustering_reference(
-            matrix, buffer_pages, page_set_cost, rng=np.random.default_rng(7)
+            matrix, buffer_pages, closure, rng=np.random.default_rng(7)
         )
         assert_clusters_identical(got, want)
         assert got_stats == want_stats
@@ -167,15 +172,17 @@ class TestCostClusteringEquivalence:
     @pytest.mark.parametrize("histogram_bins", [1, 4, 32])
     def test_histogram_bins_and_default_rng(self, rng, histogram_bins):
         matrix = random_matrix(rng, 18, 22, 0.2)
-
-        def page_set_cost(rows, cols):
-            return float(len(set(rows) | {c + 100 for c in cols}))
+        row_blocks = np.arange(18)
+        col_blocks = 100 + np.arange(22)
+        model = CostModel(seek_s=0.0, transfer_s=1.0)  # distinct pages only
+        spec = LinearDiskModelCost(row_blocks, col_blocks, model)
+        closure = linear_disk_closure(row_blocks, col_blocks, model)
 
         got, got_stats = cost_clustering(
-            matrix, 8, page_set_cost, histogram_bins=histogram_bins
+            matrix, 8, spec, histogram_bins=histogram_bins
         )
         want, want_stats = cost_clustering_reference(
-            matrix, 8, page_set_cost, histogram_bins=histogram_bins
+            matrix, 8, closure, histogram_bins=histogram_bins
         )
         assert_clusters_identical(got, want)
         assert got_stats == want_stats
@@ -183,7 +190,8 @@ class TestCostClusteringEquivalence:
     def test_matrix_not_mutated(self, rng):
         matrix = random_matrix(rng, 12, 12, 0.3)
         before = list(matrix.entries())
-        cost_clustering(matrix, 6, lambda rows, cols: float(len(rows) + len(cols)))
+        spec = LinearDiskModelCost(np.arange(12), 12 + np.arange(12), DEFAULT_COST_MODEL)
+        cost_clustering(matrix, 6, spec)
         assert list(matrix.entries()) == before
 
 

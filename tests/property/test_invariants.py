@@ -20,6 +20,7 @@ from repro.core.join import IndexedDataset, join
 from repro.core.prediction import PredictionMatrix
 from repro.core.schedule import greedy_cluster_order, schedule_savings
 from repro.core.square import square_clustering
+from repro.costmodel import DEFAULT_COST_MODEL
 from repro.distance.edit import edit_distance
 from repro.distance.frequency import frequency_distance, frequency_vector
 from repro.geometry import Rect
@@ -132,11 +133,14 @@ def test_square_clustering_partitions_and_fits(matrix, buffer_pages):
 @given(sparse_matrices(), st.integers(min_value=2, max_value=12))
 @settings(max_examples=30)
 def test_cost_clustering_partitions_and_fits(matrix, buffer_pages):
-    from repro.core.costcluster import cost_clustering
+    from repro.core.costcluster import LinearDiskModelCost, cost_clustering
 
-    clusters, _ = cost_clustering(
-        matrix, buffer_pages, lambda rows, cols: float(len(rows) + len(cols))
+    layout = LinearDiskModelCost(
+        np.arange(matrix.num_rows),
+        matrix.num_rows + np.arange(matrix.num_cols),
+        DEFAULT_COST_MODEL,
     )
+    clusters, _ = cost_clustering(matrix, buffer_pages, layout)
     seen = sorted(e for c in clusters for e in c.entries)
     assert seen == sorted(matrix.entries())
     for cluster in clusters:

@@ -310,6 +310,28 @@ class TestInputGuards:
         )
         assert status == 200
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("shard_strategy", "affinity"), ("kernel_backend", "numpy"),
+         ("max_filter_rounds", 50)],
+    )
+    @pytest.mark.parametrize("path", ["/join", "/subsequence_join"])
+    def test_unknown_join_field_is_400(self, server, path, field, value):
+        _call(
+            server,
+            "POST",
+            "/datasets",
+            {"id": "g", "kind": "text", "text": markov_dna(1200, seed=6),
+             "window_length": 48},
+        )
+        status, body = _call(
+            server, "POST", path, {"r": "g", "epsilon": 1.0, field: value}
+        )
+        assert status == 400
+        assert field in body["error"]
+        counters = _call(server, "GET", "/healthz")[1]["counters"]
+        assert counters.get("serving.requests", 0) == 0
+
     def test_oversized_body_is_413(self, server, monkeypatch):
         from repro.serve import service as service_module
 

@@ -137,34 +137,30 @@ class TestTraceOut:
         assert all(ev["ph"] in ("X", "i") for ev in trace["traceEvents"])
 
 
-class TestKernelBackendFlag:
-    def _points(self, tmp_path):
+class TestRejectedInputs:
+    """Inputs the library rejects print ``error: ...`` and exit 2."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epsilon", "-1"], "epsilon"),
+            (["--epsilon", "nan"], "epsilon"),
+            (["--epsilon", "0.05", "--buffer", "1"], "buffer"),
+            (
+                ["--epsilon", "0.05", "--prefilter", "approximate",
+                 "--recall-target", "1.5"],
+                "recall_target",
+            ),
+        ],
+    )
+    def test_error_without_traceback(self, tmp_path, capsys, flags, message):
         left = tmp_path / "l.npy"
         np.save(left, np.random.default_rng(9).random((200, 2)))
-        return left
-
-    def test_named_backend_accepted(self, tmp_path, capsys):
-        left = self._points(tmp_path)
-        for backend in ("numpy", "wavefront"):
-            assert main([
-                "join", "points", str(left),
-                "--epsilon", "0.05", "--buffer", "8", "--page-capacity", "16",
-                "--kernel-backend", backend,
-            ]) == 0
-            assert "pairs within" in capsys.readouterr().out
-
-    def test_unknown_backend_fails_fast_with_listing(self, tmp_path, capsys):
-        left = self._points(tmp_path)
-        code = main([
-            "join", "points", str(left),
-            "--epsilon", "0.05", "--buffer", "8", "--page-capacity", "16",
-            "--kernel-backend", "fortran",
-        ])
+        code = main(["join", "points", str(left), "--page-capacity", "16", *flags])
         assert code == 2
         err = capsys.readouterr().err
-        assert "fortran" in err
-        assert "registered backends" in err
-        assert "wavefront" in err
+        assert err.startswith("error: ")
+        assert message in err
 
 
 class TestVersion:
