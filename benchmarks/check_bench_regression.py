@@ -68,6 +68,13 @@ PREFILTER_MIN_RECALL = 0.99
 SERVING_MIN_WARM_SPEEDUP = 5.0
 SERVING_MIN_APPEND_SPEEDUP = 3.0
 
+# The ``fd_filter`` section is gated absolutely: the text joiner's
+# integer frequency-distance kernel must beat the float64 broadcast
+# reference by >= 5x on the genome-shaped panel.  Its ratio depends on
+# the host's integer SIMD width, so a floor well under the recorded
+# ~40x replaces the baseline-ratio scan.
+FD_FILTER_MIN_SPEEDUP = 5.0
+
 # The ``observability.explain`` row is gated absolutely: with
 # ``explain`` off (the default) the dormant collector plumbing must stay
 # inside the same 2% budget the NullRecorder is held to (ISSUE 9).  The
@@ -156,6 +163,27 @@ def check_kernel_backends(path):
         failures.append(
             f"kernel_backends: wavefront combined speedup {speedup:.2f}x "
             f"below the {KERNEL_BACKEND_MIN_SPEEDUP}x floor"
+        )
+    return lines, failures
+
+
+def check_fd_filter(path):
+    """Absolute integer-vs-float FD filter gate."""
+    with open(path) as fh:
+        section = json.load(fh).get("fd_filter")
+    if section is None:
+        return [], ["fd_filter: section missing from fresh results"]
+    speedup = float(section.get("speedup", 0.0))
+    status = "FAIL" if speedup < FD_FILTER_MIN_SPEEDUP else "ok"
+    lines = [
+        f"{status:4} fd_filter: integer kernel {speedup:.1f}x over float64 "
+        f"broadcast (floor {FD_FILTER_MIN_SPEEDUP}x)"
+    ]
+    failures = []
+    if speedup < FD_FILTER_MIN_SPEEDUP:
+        failures.append(
+            f"fd_filter: speedup {speedup:.2f}x below the "
+            f"{FD_FILTER_MIN_SPEEDUP}x floor"
         )
     return lines, failures
 
@@ -249,6 +277,11 @@ def main(argv):
     for line in backend_lines:
         print(line)
     failures.extend(backend_failures)
+
+    fd_lines, fd_failures = check_fd_filter(argv[2])
+    for line in fd_lines:
+        print(line)
+    failures.extend(fd_failures)
 
     explain_lines, explain_failures = check_explain(argv[2])
     for line in explain_lines:

@@ -45,6 +45,7 @@ from repro.errors import ConfigError
 from repro.kernels.backends import resolve_backend
 from repro.kernels.dtw import dtw_batch
 from repro.kernels.edit import edit_batch
+from repro.kernels.frequency import fd_l1_limit, fd_within, letter_major_counts
 from repro.kernels.minkowski import _BLOCK_CELL_BUDGET, minkowski_refine
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.storage.page import PageBlock, PagedDataset, SequencePagedDataset
@@ -63,12 +64,6 @@ __all__ = [
 JoinerResult = Tuple[List[Tuple[int, int]], int, int, float]
 
 Entry = Tuple[int, int]
-
-# The FD filter's (rows, chunk, alphabet) temporary is traversed three
-# times per chunk; a tighter budget than _BLOCK_CELL_BUDGET keeps it
-# cache-resident for the alphabet-sized last axis.
-_FD_CELL_BUDGET = 1 << 20
-
 
 class _ClusterBlock:
     """Stacked columnar geometry of one cluster's marked page pairs.
@@ -474,12 +469,54 @@ def text_dp_weight(window_length: int, epsilon: float) -> float:
     return float(window_length * (2 * band + 3))
 
 
+def _check_text_features(
+    features: np.ndarray,
+    dataset: SequencePagedDataset,
+    name: str,
+    alphabet: Optional[int] = None,
+) -> None:
+    """Reject feature arrays that are not per-window symbol counts.
+
+    Both FD forms (the mega-batch's L1/2 and the per-pair
+    max-of-clipped-sums) agree only on non-negative integer rows summing
+    to the window length, so anything else is refused up front.
+    ``alphabet`` is the other side's column count, when known.
+    """
+    if not isinstance(features, np.ndarray) or features.ndim != 2:
+        raise ConfigError(f"{name} must be a 2-D array of symbol counts")
+    if alphabet is not None and features.shape[1] != alphabet:
+        raise ConfigError(
+            f"alphabet widths differ: {alphabet} vs {features.shape[1]}"
+        )
+    if features.dtype.kind not in "iuf":
+        raise ConfigError(
+            f"{name} must hold integer counts, got dtype {features.dtype}"
+        )
+    if features.shape[0] < dataset.num_windows:
+        raise ConfigError(
+            f"{name} has {features.shape[0]} rows for "
+            f"{dataset.num_windows} windows"
+        )
+    if not np.isfinite(features).all() or (features < 0).any():
+        raise ConfigError(f"{name} must be finite and non-negative")
+    if (features != np.floor(features)).any():
+        raise ConfigError(f"{name} must hold integer counts")
+    if (features.sum(axis=1) != dataset.window_length).any():
+        raise ConfigError(
+            f"every row of {name} must sum to the window length "
+            f"{dataset.window_length}"
+        )
+
+
 class TextPagePairJoiner(PagePairJoiner):
     """Joiner for string windows: frequency filter, then banded DP.
 
     ``r_features`` / ``s_features`` are the MRS frequency vectors indexed
     by window offset; they live with the index (in memory), so consulting
-    them costs CPU but no I/O.
+    them costs CPU but no I/O.  They must be 2-D arrays of non-negative
+    integer counts over one alphabet, one row per window at least, every
+    row summing to the shared window length; anything else raises
+    :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -495,6 +532,16 @@ class TextPagePairJoiner(PagePairJoiner):
         recorder: Recorder = NULL_RECORDER,
         kernel_backend=None,
     ) -> None:
+        if s_dataset.window_length != r_dataset.window_length:
+            raise ConfigError(
+                f"window lengths differ: {r_dataset.window_length} vs "
+                f"{s_dataset.window_length}"
+            )
+        _check_text_features(r_features, r_dataset, "r_features")
+        if s_features is not r_features or s_dataset is not r_dataset:
+            _check_text_features(
+                s_features, s_dataset, "s_features", r_features.shape[1]
+            )
         self.r_dataset = r_dataset
         self.s_dataset = s_dataset
         self.r_features = r_features
@@ -511,6 +558,14 @@ class TextPagePairJoiner(PagePairJoiner):
         self.windows_r = r_dataset.windows_matrix()
         self.windows_s = (
             self.windows_r if s_dataset is r_dataset else s_dataset.windows_matrix()
+        )
+        # The mega-batch FD filter runs on integer counts, cast once.
+        self._fd_limit = fd_l1_limit(epsilon, self.w)
+        self._counts_r = letter_major_counts(r_features, self.w)
+        self._counts_s = (
+            self._counts_r
+            if s_features is r_features
+            else letter_major_counts(s_features, self.w)
         )
 
     # -- per-pair granularity ------------------------------------------------
@@ -602,39 +657,19 @@ class TextPagePairJoiner(PagePairJoiner):
                 entries, self.r_dataset, self.s_dataset, self.self_join
             )
             n_entries = block.num_entries
-            # Frequency vectors of the stacked windows (global ids double
-            # as feature rows).
-            g_left = block.r_block.global_ids
-            g_right = block.s_block.global_ids
-            fr = self.r_features[g_left]
-            fs = self.s_features[g_right]
+            # Letter-major integer counts of the stacked windows (global
+            # ids double as feature columns).
+            counts_left = self._counts_r[:, block.r_block.global_ids]
+            counts_right = self._counts_s[:, block.s_block.global_ids]
+            fd_limit = self._fd_limit
 
             # Stage 1 — frequency-distance filter over the marked panels
-            # only, each panel chunked along its columns to bound the
-            # (rows, chunk, A) temporary.
-            alpha = max(1, fs.shape[1])
-
+            # only, as the exact integer form ``L1 <= floor(2 eps)``: the
+            # same decisions as the per-pair max-of-clipped-sums form.
             def fd_filter(sl: slice, panel_j: np.ndarray) -> np.ndarray:
-                fr_rows = fr[sl]
-                fs_panel = fs[panel_j]
-                out = np.empty(
-                    (fr_rows.shape[0], fs_panel.shape[0]), dtype=bool
+                return fd_within(
+                    counts_left[:, sl], counts_right[:, panel_j], fd_limit
                 )
-                chunk_cols = max(
-                    1,
-                    _FD_CELL_BUDGET // max(1, fr_rows.shape[0] * alpha),
-                )
-                for lo in range(0, fs_panel.shape[0], chunk_cols):
-                    hi = lo + chunk_cols
-                    diff = fs_panel[lo:hi][None, :, :] - fr_rows[:, None, :]
-                    # Frequency vectors are exact integer counts and every
-                    # window's counts sum to the window length, so the
-                    # positive and negative parts of ``diff`` are equal
-                    # and FD is exactly half the (even, integer) L1
-                    # distance — the same float64 value the per-pair
-                    # max-of-clipped-sums form produces.
-                    out[:, lo:hi] = np.abs(diff).sum(axis=2) * 0.5 <= epsilon
-                return out
 
             cand_i, cand_j, rank = block.filtered_cells(fd_filter)
             cand_i, cand_j, rank = block.drop_diagonal(cand_i, cand_j, rank)

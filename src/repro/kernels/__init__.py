@@ -20,6 +20,9 @@ Modules
     batched banded DP with shared early abandon.
 ``edit``
     Batched banded Levenshtein DP over byte-encoded window pairs.
+``frequency``
+    The text joiner's exact integer frequency-distance filter
+    (``L1 <= floor(2 eps)`` over letter-major count panels).
 ``wavefront``
     Anti-diagonal rewrites of the DTW/edit DPs — batch × diagonal
     vectorisation, bit-identical to the row kernels.

@@ -8,6 +8,7 @@ from repro.costmodel import CostModel
 from repro.distance.edit import edit_distance
 from repro.distance.frequency import frequency_vectors_sliding
 from repro.distance.vector import EuclideanDistance
+from repro.errors import ConfigError
 from repro.storage.page import SequencePagedDataset, VectorPagedDataset
 
 
@@ -128,6 +129,53 @@ class TestTextJoiner:
         pairs, _count, _cmp, _cpu = joiner(2, 2, ds.page_objects(2), ds.page_objects(2))
         for p, q in pairs:
             assert p < q
+
+    def test_rejects_fractional_features(self, dataset, model):
+        ds, features = dataset
+        bad = features.copy()
+        bad[3, :2] += [0.5, -0.5]  # row sum kept at 12, counts fractional
+        with pytest.raises(ConfigError, match="integer counts"):
+            make_text_joiner(ds, ds, bad, features, 1, model, False)
+
+    def test_rejects_wrong_row_sum(self, dataset, model):
+        ds, features = dataset
+        bad = features.copy()
+        bad[7, 0] += 1.0
+        with pytest.raises(ConfigError, match="sum to the window length 12"):
+            make_text_joiner(ds, ds, features, bad, 1, model, False)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda f: f[:, :3], "alphabet widths differ"),
+            (lambda f: f[:-1], "rows for"),
+            (lambda f: f.ravel(), "2-D"),
+            (lambda f: np.where(f == f.max(), np.nan, f), "finite"),
+            (lambda f: f - 1.0, "non-negative"),
+        ],
+    )
+    def test_rejects_malformed_features(self, dataset, model, mutate, message):
+        ds, features = dataset
+        with pytest.raises(ConfigError, match=message):
+            make_text_joiner(ds, ds, features, mutate(features), 1, model, False)
+
+    def test_rejects_mismatched_window_lengths(self, dataset, model):
+        ds, features = dataset
+        other = SequencePagedDataset(
+            ds.sequence, symbols_per_page=20, window_length=10, dataset_id="H"
+        )
+        other_features = frequency_vectors_sliding(ds.sequence, 10)
+        with pytest.raises(ConfigError, match="window lengths differ"):
+            make_text_joiner(ds, other, features, other_features, 1, model, False)
+
+    def test_integer_features_accepted(self, dataset, model):
+        ds, features = dataset
+        counts = features.astype(np.int32)
+        joiner = make_text_joiner(ds, ds, counts, counts, 1, model, False)
+        reference = make_text_joiner(ds, ds, features, features, 1, model, False)
+        assert joiner.join_cluster([(0, 5), (3, 3)]) == reference.join_cluster(
+            [(0, 5), (3, 3)]
+        )
 
     def test_dp_weight_scales(self):
         assert text_dp_weight(500, 5) > text_dp_weight(50, 5)

@@ -208,10 +208,11 @@ class TestSequenceEquivalence:
         assert run[0].num_pairs > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 1.5, 2.0])
     def test_text_join_matches(self, text_pair, workers, epsilon):
         # epsilon spans the joiner's three regimes: Hamming-only accept
-        # (0), Hamming accept/reject (1), and the DP fallback (2).
+        # (0), Hamming accept/reject (1), and the DP fallback (2); 1.5
+        # puts the integer FD filter's floor(2 eps) limit between steps.
         r, s = text_pair
         run = _run(r, s, epsilon, workers=workers)
         _assert_matches_per_pair(r, s, epsilon, run)

@@ -46,6 +46,10 @@ class TestSlidingVectors:
         with pytest.raises(ValueError):
             frequency_vectors_sliding("ACGT", 0)
 
+    def test_sliding_rejects_unknown_symbol(self):
+        with pytest.raises(ValueError, match="symbol 'N' is not in alphabet 'ACGT'"):
+            frequency_vectors_sliding("ACGTNACGT", 4)
+
 
 class TestFrequencyDistance:
     def test_identical_is_zero(self):

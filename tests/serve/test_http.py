@@ -288,6 +288,36 @@ class TestInputGuards:
             "serving.appends", 0
         ) == 0
 
+    def test_out_of_alphabet_text_is_400(self, server):
+        status, body = _call(
+            server,
+            "POST",
+            "/datasets",
+            {"id": "g", "kind": "text", "text": "ACGTN" + markov_dna(600, seed=6),
+             "window_length": 48},
+        )
+        assert status == 400
+        assert "'N' is not in alphabet" in body["error"]
+        assert _call(server, "GET", "/datasets")[1]["datasets"] == []
+
+    def test_out_of_alphabet_append_is_400(self, server):
+        _call(
+            server,
+            "POST",
+            "/datasets",
+            {"id": "g", "kind": "text", "text": markov_dna(1200, seed=6),
+             "window_length": 48},
+        )
+        before = _call(server, "GET", "/datasets/g")[1]
+        status, body = _call(
+            server, "POST", "/datasets/g/pages", {"suffix": "ACGN"}
+        )
+        assert status == 400
+        assert "'N' is not in alphabet" in body["error"]
+        after = _call(server, "GET", "/datasets/g")[1]
+        assert after["fingerprint"] == before["fingerprint"]
+        assert after == before
+
     def test_workers_other_than_one_is_400(self, server):
         _call(
             server,
