@@ -20,7 +20,6 @@ from repro.core.executor import ExecutionOutcome, execute_clusters
 from repro.core.join import IndexedDataset, _make_joiner, join
 from repro.core.square import square_clustering
 from repro.core.sweep import build_prediction_matrix
-from repro.core.sweep_reference import build_prediction_matrix_reference
 from repro.costmodel import DEFAULT_COST_MODEL
 from repro.datasets import markov_dna, road_intersections
 from repro.datasets.landsat import landsat_like
@@ -51,6 +50,7 @@ from repro.kernels.frequency import fd_l1_limit, fd_within, letter_major_counts
 from repro.obs import NULL_RECORDER
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
+from tests.oracles.sweep_reference import build_prediction_matrix_reference
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -404,7 +404,7 @@ def test_fd_filter_speedup(record_json):
 #
 # The prediction-matrix build: the scalar reference pipeline (per-Rect
 # event sweep + Rect-list iterative filter, frozen in
-# ``repro.core.sweep_reference``) versus the struct-of-arrays block
+# ``tests/oracles/sweep_reference.py``) versus the struct-of-arrays block
 # sweep, on identical hierarchies.  Marks and stats must agree exactly;
 # the acceptance bar is a >= 5x speedup on the 64-page/16-dim workload.
 # Quick mode shrinks repeats, never the workload, so the recorded
@@ -941,12 +941,12 @@ def test_clustering_pipeline_speedup(record_json):
     ``vectorized_seconds`` key names the production implementation's
     time (for SC, the one dict-based sweep).
     """
-    from repro.core.clusters_reference import (
+    from repro.core.schedule import greedy_cluster_order
+    from tests.oracles.clusters_reference import (
         cost_clustering_reference,
         greedy_cluster_order_reference,
         square_clustering_reference,
     )
-    from repro.core.schedule import greedy_cluster_order
 
     # Same workload in QUICK mode (fewer repeats only): the regression
     # gate compares CI's QUICK speedups against the committed full-run
@@ -1003,8 +1003,10 @@ def test_clustering_pipeline_speedup(record_json):
         ref_s, (want, want_stats) = _best_of(
             lambda: square_clustering_reference(matrix, sc_buffer), repeats
         )
+        # A fresh copy per call: SC reads the matrix's lazily built
+        # index, which must not be cached across the timed repeats.
         vec_s, (got, got_stats) = _best_of(
-            lambda: square_clustering(matrix, sc_buffer), repeats
+            lambda: square_clustering(matrix.copy(), sc_buffer), repeats
         )
         _assert_identical(got, want, got_stats, want_stats)
         sc_rows[f"{density}"] = {

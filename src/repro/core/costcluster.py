@@ -30,7 +30,7 @@ per candidate.  The resulting ``(transfers, seeks)`` integers feed the
 same :meth:`CostModel.io_cost` expression the full scheduler uses, which
 keeps every float — and therefore every growth decision — bit-identical
 to the frozen reference
-(:func:`repro.core.clusters_reference.cost_clustering_reference`), which
+(``cost_clustering_reference`` in ``tests/oracles/clusters_reference.py``), which
 takes the equivalent page-set callable.
 """
 

@@ -71,8 +71,6 @@ def _pinned_side_join(
     only), so the pinned side is never evicted — this is Figure 4's
     "read all of them into buffer" branch.
     """
-    # marked_rows()/marked_cols() return the matrix's cached sorted views;
-    # loops below may call them repeatedly at no re-sorting cost.
     r_id, s_id = r_dataset.dataset_id, s_dataset.dataset_id
     if pin_cols:
         pinned_keys = [(s_id, col) for col in matrix.marked_cols()]

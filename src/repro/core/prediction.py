@@ -4,14 +4,18 @@ A boolean matrix over page pairs: entry ``(i, j)`` is marked iff the
 lower-bounding distance between page ``i`` of the first dataset and page
 ``j`` of the second is within the join threshold, i.e. the page pair may
 contribute to the join.  Stored sparsely — "the prediction matrix stores
-only the marked entries in sparse matrix format" (Section 7.1) — with both
-row-major and column-major mirrors, because SC sweeps columns while
-cluster extraction removes by rows.
+only the marked entries in sparse matrix format" (Section 7.1) — as one
+pair of coordinate arrays, unique and sorted row-major.  Every mutator
+is one array operation that rebinds the pair.  Row and column queries
+read a :class:`CSRWorkMatrix` index (row-major CSR plus a column-major
+CSC permutation) built on first use and dropped on the next mutation;
+clustering takes its own independent copy of that index to remove
+entries from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,13 +27,14 @@ Entry = Tuple[int, int]
 class CSRWorkMatrix:
     """Dual CSR/CSC array view of a marked-entry snapshot, with removal.
 
-    Cost clustering (CC) consumes a *working copy* of the prediction
-    matrix: it repeatedly slices rows/columns and removes the
-    entries they assign to clusters.  The dict-of-sets representation
-    makes every ``row_cols``/``col_rows`` call a sorted-list rebuild;
-    this view stores the same entries once, in two static sorted orders,
-    and models removal with an alive-mask — so slicing is an array view
-    plus a boolean gather, and removal is a vectorised mask update.
+    The one index over a matrix's coordinate arrays.  A
+    :class:`PredictionMatrix` answers its row/column queries from one
+    (never killing entries in it); cost clustering (CC) takes a fresh
+    one as its *working copy*: it repeatedly slices rows/columns and
+    removes the entries they assign to clusters.  The entries are
+    stored once, in two static sorted orders, and removal is modelled
+    with an alive-mask — so slicing is an array view plus a boolean
+    gather, and removal is a vectorised mask update.
 
     Layout
     ------
@@ -153,12 +158,12 @@ class PredictionMatrix:
     """Sparse boolean matrix over ``num_rows × num_cols`` page pairs.
 
     Rows index pages of the first (``R``) dataset, columns pages of the
-    second (``S``) dataset.
+    second (``S``) dataset.  The marked entries are two read-only int64
+    arrays ``(rows, cols)``, unique and sorted row-major.
 
     Examples
     --------
-    >>> m = PredictionMatrix(3, 4)
-    >>> m.mark(0, 1); m.mark(2, 3)
+    >>> m = PredictionMatrix.from_coo(3, 4, np.array([2, 0]), np.array([3, 1]))
     >>> m.is_marked(0, 1), m.is_marked(1, 1)
     (True, False)
     >>> m.num_marked
@@ -172,144 +177,34 @@ class PredictionMatrix:
             )
         self.num_rows = num_rows
         self.num_cols = num_cols
-        self._rows: Dict[int, Set[int]] = {}
-        self._cols: Dict[int, Set[int]] = {}
-        self._count = 0
-        # marked_rows()/marked_cols() are called inside loops by pm-NLJ
-        # and both clustering passes; cache the sorted views and
-        # invalidate on mutation instead of re-sorting every call.
-        self._rows_cache: "List[int] | None" = None
-        self._cols_cache: "List[int] | None" = None
+        self._assign(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     # -- mutation ------------------------------------------------------------
 
-    def mark(self, row: int, col: int) -> None:
-        """Mark the entry ``(row, col)``; idempotent."""
-        self._check(row, col)
-        row_set = self._rows.setdefault(row, set())
-        if col in row_set:
-            return
-        if not row_set:  # a freshly created row changes the marked-row set
-            self._rows_cache = None
-        if col not in self._cols:
-            self._cols_cache = None
-        row_set.add(col)
-        self._cols.setdefault(col, set()).add(row)
-        self._count += 1
-
     def mark_many(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Mark a batch of ``(rows[k], cols[k])`` entries; idempotent.
-
-        The block sweep produces leaf pairs as index arrays; this marks
-        them with one bounds check for the whole batch and without the
-        per-entry method dispatch of :meth:`mark`.
-        """
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        if rows.shape != cols.shape or rows.ndim != 1:
-            raise ValueError(
-                f"rows and cols must be 1-d arrays of equal length, "
-                f"got shapes {rows.shape} and {cols.shape}"
-            )
-        if rows.size == 0:
-            return
-        if (
-            rows.min() < 0
-            or rows.max() >= self.num_rows
-            or cols.min() < 0
-            or cols.max() >= self.num_cols
-        ):
-            raise IndexError(
-                f"batch contains entries outside matrix {self.num_rows}x{self.num_cols}"
-            )
-        row_sets = self._rows
-        col_sets = self._cols
-        added = 0
-        for row, col in zip(rows.tolist(), cols.tolist()):
-            row_set = row_sets.get(row)
-            if row_set is None:
-                row_set = row_sets[row] = set()
-                self._rows_cache = None
-            elif col in row_set:
-                continue
-            row_set.add(col)
-            col_set = col_sets.get(col)
-            if col_set is None:
-                col_set = col_sets[col] = set()
-                self._cols_cache = None
-            col_set.add(row)
-            added += 1
-        self._count += added
-
-    def unmark(self, row: int, col: int) -> None:
-        """Remove a marked entry; raises ``KeyError`` if it is not marked."""
-        try:
-            self._rows[row].remove(col)
-        except KeyError:
-            raise KeyError(f"entry ({row}, {col}) is not marked") from None
-        if not self._rows[row]:
-            del self._rows[row]
-            self._rows_cache = None
-        self._cols[col].remove(row)
-        if not self._cols[col]:
-            del self._cols[col]
-            self._cols_cache = None
-        self._count -= 1
+        """Mark a batch of ``(rows[k], cols[k])`` entries; idempotent."""
+        keys = self._batch_keys(rows, cols)
+        if keys.size:
+            self._assign_keys(np.union1d(self._keys(), keys))
 
     def unmark_many(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Remove a batch of ``(rows[k], cols[k])`` marked entries.
 
-        The prefilter cascade unmarks thousands of cells at once; this
-        validates the whole batch first (one bounds check, a
-        ``KeyError`` naming the first unmarked entry — leaving the
-        matrix untouched on failure), then mutates with at most one
-        cache invalidation per side instead of per-entry churn.
-        Duplicate entries within the batch raise like unmarked ones.
+        All or nothing: an unmarked entry, or one repeated within the
+        batch, raises ``KeyError`` naming the first such entry and
+        leaves the matrix untouched.
         """
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        if rows.shape != cols.shape or rows.ndim != 1:
-            raise ValueError(
-                f"rows and cols must be 1-d arrays of equal length, "
-                f"got shapes {rows.shape} and {cols.shape}"
-            )
-        if rows.size == 0:
+        keys = self._batch_keys(rows, cols)
+        if keys.size == 0:
             return
-        if (
-            rows.min() < 0
-            or rows.max() >= self.num_rows
-            or cols.min() < 0
-            or cols.max() >= self.num_cols
-        ):
-            raise IndexError(
-                f"batch contains entries outside matrix {self.num_rows}x{self.num_cols}"
-            )
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-        seen = set()
-        for row, col in pairs:
-            if (row, col) in seen or col not in self._rows.get(row, ()):
-                raise KeyError(f"entry ({row}, {col}) is not marked")
-            seen.add((row, col))
-        row_sets = self._rows
-        col_sets = self._cols
-        rows_changed = False
-        cols_changed = False
-        for row, col in pairs:
-            row_set = row_sets[row]
-            row_set.remove(col)
-            if not row_set:
-                del row_sets[row]
-                rows_changed = True
-            col_set = col_sets[col]
-            col_set.remove(row)
-            if not col_set:
-                del col_sets[col]
-                cols_changed = True
-        if rows_changed:
-            self._rows_cache = None
-        if cols_changed:
-            self._cols_cache = None
-        self._count -= len(pairs)
+        marked = self._keys()
+        bad = np.ones(keys.size, dtype=bool)  # repeats of an earlier entry ...
+        bad[np.unique(keys, return_index=True)[1]] = False
+        bad |= ~np.isin(keys, marked)  # ... and entries that are not marked
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise KeyError(f"entry ({int(rows[k])}, {int(cols[k])}) is not marked")
+        self._assign_keys(np.setdiff1d(marked, keys, assume_unique=True))
 
     def grow(self, num_rows: int, num_cols: int) -> None:
         """Extend the matrix dimensions; existing marks are untouched.
@@ -327,6 +222,7 @@ class PredictionMatrix:
             )
         self.num_rows = num_rows
         self.num_cols = num_cols
+        self._index = None
 
     def keep_upper_triangle(self) -> None:
         """Drop entries with ``row > col`` (self-join symmetry reduction).
@@ -334,113 +230,99 @@ class PredictionMatrix:
         A self-join marks both ``(i, j)`` and ``(j, i)``; joining one of
         them produces every result pair, so half the matrix is redundant.
         """
-        doomed = [
-            (row, col)
-            for row, cols in self._rows.items()
-            for col in cols
-            if row > col
-        ]
-        for row, col in doomed:
-            self.unmark(row, col)
+        keep = self._rows <= self._cols
+        self._assign(self._rows[keep], self._cols[keep])
 
     # -- queries ------------------------------------------------------------
 
     def is_marked(self, row: int, col: int) -> bool:
-        self._check(row, col)
-        return col in self._rows.get(row, ())
+        if not (0 <= row < self.num_rows and 0 <= col < self.num_cols):
+            raise IndexError(
+                f"entry ({row}, {col}) outside matrix {self.num_rows}x{self.num_cols}"
+            )
+        return col in self.row_cols(row)
 
     @property
     def num_marked(self) -> int:
         """Number of marked entries (the paper's ``e``)."""
-        return self._count
+        return int(self._rows.size)
 
     def marked_rows(self) -> List[int]:
-        """Sorted rows that contain at least one marked entry.
-
-        The returned list is cached until the marked-row set changes;
-        callers must treat it as read-only.
-        """
-        if self._rows_cache is None:
-            self._rows_cache = sorted(self._rows)
-        return self._rows_cache
+        """Sorted rows that contain at least one marked entry."""
+        return self.csr_index().live_rows().tolist()
 
     def marked_cols(self) -> List[int]:
-        """Sorted columns that contain at least one marked entry.
-
-        The returned list is cached until the marked-column set changes;
-        callers must treat it as read-only.
-        """
-        if self._cols_cache is None:
-            self._cols_cache = sorted(self._cols)
-        return self._cols_cache
+        """Sorted columns that contain at least one marked entry."""
+        return self.csr_index().live_cols().tolist()
 
     def row_cols(self, row: int) -> List[int]:
         """Sorted marked columns of ``row`` (empty if none)."""
-        return sorted(self._rows.get(row, ()))
+        index = self.csr_index()
+        return index.entry_cols[index.csr_row_ids(row)].tolist()
 
     def col_rows(self, col: int) -> List[int]:
         """Sorted marked rows of ``col`` (empty if none)."""
-        return sorted(self._cols.get(col, ()))
+        index = self.csr_index()
+        return index.entry_rows[index.csc_col_ids(col)].tolist()
 
     def entries(self) -> Iterator[Entry]:
         """All marked entries in row-major order."""
-        for row in sorted(self._rows):
-            for col in sorted(self._rows[row]):
-                yield row, col
+        return zip(self._rows.tolist(), self._cols.tolist())
 
     def density(self) -> float:
         """Fraction of marked entries — the join's page-level selectivity."""
-        return self._count / (self.num_rows * self.num_cols)
+        return self.num_marked / (self.num_rows * self.num_cols)
 
     def copy(self) -> "PredictionMatrix":
-        """Deep copy (clustering algorithms consume their working copy)."""
+        """An independent matrix sharing the read-only coordinate arrays."""
         dup = PredictionMatrix(self.num_rows, self.num_cols)
-        dup._rows = {row: set(cols) for row, cols in self._rows.items()}
-        dup._cols = {col: set(rows) for col, rows in self._cols.items()}
-        dup._count = self._count
+        dup._assign(self._rows, self._cols)
         return dup
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray]:
         """Marked entries as ``(rows, cols)`` int64 arrays, row-major sorted.
 
-        The persistence format of the matrix cache: two flat coordinate
-        arrays, deterministic order, loadable with :meth:`from_coo`.
+        The matrix's own read-only arrays, and the persistence format of
+        the matrix cache: deterministic order, loadable with
+        :meth:`from_coo`.
         """
-        rows = np.empty(self._count, dtype=np.int64)
-        cols = np.empty(self._count, dtype=np.int64)
-        at = 0
-        for row in sorted(self._rows):
-            row_cols = sorted(self._rows[row])
-            stop = at + len(row_cols)
-            rows[at:stop] = row
-            cols[at:stop] = row_cols
-            at = stop
-        return rows, cols
+        return self._rows, self._cols
 
     @classmethod
     def from_coo(
         cls, num_rows: int, num_cols: int, rows: np.ndarray, cols: np.ndarray
     ) -> "PredictionMatrix":
-        """Rebuild a matrix from :meth:`to_coo` output."""
+        """A matrix marking ``(rows[k], cols[k])``, in any order, repeats allowed.
+
+        Raises ``ValueError`` unless the coordinates are equal-length 1-d
+        integer arrays, and ``IndexError`` if one lies outside the shape.
+        """
         matrix = cls(num_rows, num_cols)
         matrix.mark_many(rows, cols)
         return matrix
 
-    def csr_view(self) -> CSRWorkMatrix:
-        """A :class:`CSRWorkMatrix` snapshot of the marked entries.
+    def csr_index(self) -> CSRWorkMatrix:
+        """The matrix's own :class:`CSRWorkMatrix` index, built on first use.
 
-        The view is independent of this matrix: killing entries in the
-        view does not unmark them here (clustering consumes the view the
-        way it used to consume a :meth:`copy`).
+        Shared and dropped on the next mutation: read it, never kill
+        entries in it (take a :meth:`csr_view` for that).
         """
-        rows, cols = self.to_coo()
-        return CSRWorkMatrix(self.num_rows, self.num_cols, rows, cols)
+        if self._index is None:
+            self._index = self.csr_view()
+        return self._index
+
+    def csr_view(self) -> CSRWorkMatrix:
+        """A fresh :class:`CSRWorkMatrix` over the marked entries.
+
+        Independent of this matrix: killing entries in the view does not
+        unmark them here (clustering consumes it as a working copy).
+        """
+        return CSRWorkMatrix(self.num_rows, self.num_cols, self._rows, self._cols)
 
     def to_dense(self) -> np.ndarray:
         """Dense boolean array (small matrices / tests / visualisation)."""
         dense = np.zeros((self.num_rows, self.num_cols), dtype=bool)
-        for row, cols in self._rows.items():
-            dense[row, list(cols)] = True
+        dense[self._rows, self._cols] = True
         return dense
 
     def __eq__(self, other: object) -> bool:
@@ -449,17 +331,55 @@ class PredictionMatrix:
         return (
             self.num_rows == other.num_rows
             and self.num_cols == other.num_cols
-            and self._rows == other._rows
+            and np.array_equal(self._rows, other._rows)
+            and np.array_equal(self._cols, other._cols)
         )
 
     def __repr__(self) -> str:
         return (
             f"PredictionMatrix({self.num_rows}x{self.num_cols}, "
-            f"marked={self._count}, density={self.density():.4f})"
+            f"marked={self.num_marked}, density={self.density():.4f})"
         )
 
-    def _check(self, row: int, col: int) -> None:
-        if not (0 <= row < self.num_rows and 0 <= col < self.num_cols):
-            raise IndexError(
-                f"entry ({row}, {col}) outside matrix {self.num_rows}x{self.num_cols}"
+    # -- the coordinate arrays ------------------------------------------------
+
+    def _assign(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Rebind the marks to fresh (or already read-only) sorted arrays."""
+        rows.flags.writeable = False
+        cols.flags.writeable = False
+        self._rows, self._cols = rows, cols
+        self._index: Optional[CSRWorkMatrix] = None
+
+    def _keys(self) -> np.ndarray:
+        """Row-major entry keys ``row * num_cols + col`` (ascending)."""
+        return self._rows * np.int64(self.num_cols) + self._cols
+
+    def _assign_keys(self, keys: np.ndarray) -> None:
+        rows, cols = np.divmod(keys, np.int64(self.num_cols))
+        self._assign(rows, cols)
+
+    def _batch_keys(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Validated keys of a batch of entries, in batch order."""
+        rows = np.asarray(rows)
+        cols = np.asarray(cols)
+        if rows.shape != cols.shape or rows.ndim != 1:
+            raise ValueError(
+                f"rows and cols must be 1-d arrays of equal length, "
+                f"got shapes {rows.shape} and {cols.shape}"
             )
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise ValueError(
+                f"coordinates must be integers, got {rows.dtype} and {cols.dtype}"
+            )
+        rows = rows.astype(np.int64, copy=False)
+        cols = cols.astype(np.int64, copy=False)
+        if rows.size and (
+            rows.min() < 0
+            or rows.max() >= self.num_rows
+            or cols.min() < 0
+            or cols.max() >= self.num_cols
+        ):
+            raise IndexError(
+                f"batch contains entries outside matrix {self.num_rows}x{self.num_cols}"
+            )
+        return rows * np.int64(self.num_cols) + cols

@@ -22,7 +22,7 @@ The sweep runs as plain-int loops over per-column dicts of the live
 entries: a cluster is at most ``B`` pages wide, so dict probes beat
 numpy dispatch at every buffer size the benchmarks use.  It is
 decision- and counter-identical to the frozen reference implementation
-(:func:`repro.core.clusters_reference.square_clustering_reference`),
+(``square_clustering_reference`` in ``tests/oracles/clusters_reference.py``),
 which the equivalence suite pins on random matrices.
 """
 
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from repro.core.clusters import Cluster
 from repro.core.prediction import PredictionMatrix
@@ -93,17 +91,18 @@ def square_clustering(
     stats = SquareClusteringStats()
     target_rows = max(1, min(buffer_pages - 1, round(buffer_pages * target_aspect / (1.0 + target_aspect))))
     patience = max(1, _BARREN_COLUMN_PATIENCE_FACTOR * buffer_pages)
-    # Column maps are filled in ``(col, row)`` order and only ever
-    # deleted from, so iterating one yields its live rows ascending
-    # without re-sorting.
-    rows_arr, cols_arr = matrix.to_coo()
-    order = np.lexsort((rows_arr, cols_arr))
+    # Column maps are filled in the index's CSC ``(col, row)`` order and
+    # only ever deleted from, so iterating one yields its live rows
+    # ascending without re-sorting.
+    index = matrix.csr_index()
+    csc_rows = index.entry_rows[index.csc_entries].tolist()
+    csc_cols = index.entry_cols[index.csc_entries].tolist()
     col_maps: Dict[int, Dict[int, None]] = {}
-    for row, col in zip(rows_arr[order].tolist(), cols_arr[order].tolist()):
+    for row, col in zip(csc_rows, csc_cols):
         col_maps.setdefault(col, {})[row] = None
     cols_seq = sorted(col_maps)
     dead_cols = 0
-    remaining = int(rows_arr.size)
+    remaining = matrix.num_marked
 
     clusters: List[Cluster] = []
     while remaining:

@@ -18,7 +18,7 @@ the surviving candidate block is reduced with one vectorised
 remaining-dimension overlap mask.  No per-box event queue, no per-pair
 ``intersects()`` calls.  The produced marks and every ``SweepStats``
 counter are identical to the original event sweep
-(``repro.core.sweep_reference``): ``endpoints_processed`` still counts
+(``tests/oracles/sweep_reference.py``): ``endpoints_processed`` still counts
 two endpoints per swept box and ``intersection_tests`` still counts
 exactly the pairs whose dimension-0 intervals overlap — the block sweep
 merely finds them by binary search instead of by queue replay.
@@ -208,19 +208,23 @@ def build_prediction_matrix(
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    matrix = PredictionMatrix(num_rows, num_cols)
     stats = SweepStats()
     half = epsilon / 2.0
+    # Leaf-pair marks per descent level; the matrix is built once at the end.
+    empty = np.empty(0, dtype=np.int64)
+    marks: List[Tuple[np.ndarray, np.ndarray]] = [(empty, empty)]
     with recorder.span("matrix.sweep"):
         _descend(
             _Group.of_single(root_r),
             _Group.of_single(root_s),
             half,
-            matrix,
+            marks,
             stats,
             max_filter_rounds,
             recorder,
         )
+        rows, cols = (np.concatenate(side) for side in zip(*marks))
+        matrix = PredictionMatrix.from_coo(num_rows, num_cols, rows, cols)
     recorder.count("sweep.endpoints_processed", stats.endpoints_processed)
     recorder.count("sweep.candidate_pairs", stats.intersection_tests)
     recorder.count("sweep.node_pairs_expanded", stats.node_pairs_expanded)
@@ -277,7 +281,7 @@ def _descend(
     group_r: _Group,
     group_s: _Group,
     half_epsilon: float,
-    matrix: PredictionMatrix,
+    marks: List[Tuple[np.ndarray, np.ndarray]],
     stats: SweepStats,
     max_filter_rounds: int,
     recorder: Recorder = NULL_RECORDER,
@@ -312,9 +316,9 @@ def _descend(
         return
     both_leaves = group_r.leaf_mask[idx_i] & group_s.leaf_mask[idx_j]
     if both_leaves.any():
-        rows = group_r.pages[idx_i[both_leaves]]
-        cols = group_s.pages[idx_j[both_leaves]]
-        matrix.mark_many(rows, cols)
+        marks.append(
+            (group_r.pages[idx_i[both_leaves]], group_s.pages[idx_j[both_leaves]])
+        )
         stats.leaf_pairs_marked += int(both_leaves.sum())
     expand_i = idx_i[~both_leaves]
     expand_j = idx_j[~both_leaves]
@@ -324,7 +328,7 @@ def _descend(
             _Group.of_children(group_r.nodes[a]),
             _Group.of_children(group_s.nodes[b]),
             half_epsilon,
-            matrix,
+            marks,
             stats,
             max_filter_rounds,
             recorder,

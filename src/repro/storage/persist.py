@@ -357,7 +357,8 @@ def load_matrix(directory: "str | Path", key: str):
     applies after loading).
 
     A corrupt or truncated entry — e.g. left by a writer killed before
-    atomic-rename semantics were in place, or by disk trouble — is
+    atomic-rename semantics were in place, or by disk trouble, or one
+    whose coordinates are not integers or fall outside its shape — is
     treated as a miss rather than an error: the caller rebuilds and the
     next :func:`save_matrix` replaces the bad file.
 
@@ -387,7 +388,7 @@ def load_matrix(directory: "str | Path", key: str):
             return PredictionMatrix.from_coo(
                 num_rows, num_cols, payload["rows"], payload["cols"]
             )
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError, KeyError):
+    except (zipfile.BadZipFile, OSError, ValueError, EOFError, KeyError, IndexError):
         return None
 
 

@@ -32,13 +32,10 @@ def seeky_page_cost(matrix):
 
 
 def random_matrix(rng, rows=25, cols=25, density=0.12):
-    m = PredictionMatrix(rows, cols)
     mask = rng.random((rows, cols)) < density
-    for r, c in zip(*np.nonzero(mask)):
-        m.mark(int(r), int(c))
-    if m.num_marked == 0:
-        m.mark(0, 0)
-    return m
+    if not mask.any():
+        mask[0, 0] = True
+    return PredictionMatrix.from_coo(rows, cols, *np.nonzero(mask))
 
 
 class TestPartitionProperties:
@@ -78,23 +75,21 @@ class TestPartitionProperties:
 class TestCostAwareness:
     def test_prefers_adjacent_pages(self):
         """With a seek penalty, CC grows toward physically adjacent pages."""
-        matrix = PredictionMatrix(30, 30)
         # A dense run around (10, 10) and a stray entry far away.
-        for k in range(5):
-            matrix.mark(10 + k, 10)
-            matrix.mark(10, 10 + k)
-        matrix.mark(29, 29)
+        run = np.arange(10, 15)
+        matrix = PredictionMatrix.from_coo(
+            30, 30,
+            np.concatenate([run, np.full(5, 10), [29]]),
+            np.concatenate([np.full(5, 10), run, [29]]),
+        )
         clusters, _ = cost_clustering(matrix, 10, seeky_page_cost(matrix))
         main = max(clusters, key=lambda c: c.num_entries)
         assert (29, 29) not in main.entries
 
     def test_grows_from_densest_region(self):
-        matrix = PredictionMatrix(40, 40)
         # Dense block at (0..2, 0..2); sparse singles elsewhere.
-        for r in range(3):
-            for c in range(3):
-                matrix.mark(r, c)
-        matrix.mark(30, 30)
+        block = [(r, c) for r in range(3) for c in range(3)] + [(30, 30)]
+        matrix = PredictionMatrix.from_coo(40, 40, *np.array(block).T)
         clusters, _ = cost_clustering(matrix, 8, unit_page_cost(matrix), histogram_bins=8)
         first = clusters[0]
         assert all(r <= 2 and c <= 2 for r, c in first.entries)
@@ -125,8 +120,7 @@ class TestEdgeCases:
         assert clusters == []
 
     def test_single_entry(self):
-        matrix = PredictionMatrix(5, 5)
-        matrix.mark(2, 4)
+        matrix = PredictionMatrix.from_coo(5, 5, np.array([2]), np.array([4]))
         clusters, _ = cost_clustering(matrix, 4, unit_page_cost(matrix))
         assert len(clusters) == 1
         assert clusters[0].entries == ((2, 4),)

@@ -108,6 +108,17 @@ class TestAtomicity:
         # Garbage that is not even a zip header.
         target.write_bytes(b"not a zip archive")
         assert load_matrix(tmp_path, "k1") is None
+        # Well-formed archives whose coordinates are not a valid matrix:
+        # one outside the stored shape, and non-integer ones.
+        save_matrix(matrix, tmp_path, "k1")
+        with np.load(target) as payload:
+            version, shape = payload["version"], payload["shape"]
+        for rows, cols in (
+            (np.array([0, shape[0]]), np.array([0, 0])),
+            (np.array([0.5]), np.array([1.0])),
+        ):
+            np.savez_compressed(target, version=version, shape=shape, rows=rows, cols=cols)
+            assert load_matrix(tmp_path, "k1") is None
         # A rebuild replaces the bad entry.
         save_matrix(matrix, tmp_path, "k1")
         assert load_matrix(tmp_path, "k1") == matrix

@@ -29,9 +29,8 @@ class TestPinnedBranch:
         """All marked S pages fit: each page of either side read once."""
         r, s = datasets
         pool = BufferPool(disk, capacity=8)
-        matrix = PredictionMatrix(10, 15)
-        for row, col in [(0, 3), (1, 3), (2, 4), (5, 6)]:
-            matrix.mark(row, col)
+        entries = [(0, 3), (1, 3), (2, 4), (5, 6)]
+        matrix = PredictionMatrix.from_coo(10, 15, *np.array(entries).T)
         outcome = pm_nlj_join(matrix, pool, r, s, counting_joiner)
         # 3 marked cols + 4 marked rows = 7 reads, each exactly once.
         assert disk.stats.transfers == 7
@@ -50,10 +49,8 @@ class TestStreamingBranch:
         """When neither side fits, reads = e + min(r, c) exactly."""
         r, s = datasets
         pool = BufferPool(disk, capacity=3)  # forces the streaming branch
-        matrix = PredictionMatrix(10, 15)
         entries = [(0, 0), (0, 1), (0, 2), (1, 1), (2, 2), (3, 0), (3, 3)]
-        for row, col in entries:
-            matrix.mark(row, col)
+        matrix = PredictionMatrix.from_coo(10, 15, *np.array(entries).T)
         e = len(entries)
         marked_rows, marked_cols = 4, 4
         outcome = pm_nlj_join(matrix, pool, r, s, counting_joiner)
@@ -63,21 +60,21 @@ class TestStreamingBranch:
     def test_streams_smaller_marked_side(self, disk, datasets):
         r, s = datasets
         pool = BufferPool(disk, capacity=2)  # neither side fits in B - 1 = 1
-        matrix = PredictionMatrix(10, 15)
         # 2 marked rows, 5 marked cols: rows become the outer side.
-        for col in range(5):
-            matrix.mark(0, col)
-            matrix.mark(7, col)
+        entries = [(row, col) for col in range(5) for row in (0, 7)]
+        matrix = PredictionMatrix.from_coo(10, 15, *np.array(entries).T)
         outcome = pm_nlj_join(matrix, pool, r, s, counting_joiner)
         assert disk.stats.transfers == 10 + 2  # e + min(r, c)
 
     def test_self_join_diagonal_page_reused(self, disk, datasets):
         r, _ = datasets  # R has 10 pages
         pool = BufferPool(disk, capacity=2)
-        matrix = PredictionMatrix(10, 10)
-        for row in range(5):
-            matrix.mark(row, row)      # diagonal entries
-            matrix.mark(row, row + 5)  # force the streaming branch
+        rows = np.arange(5)
+        matrix = PredictionMatrix.from_coo(
+            10, 10,
+            np.concatenate([rows, rows]),
+            np.concatenate([rows, rows + 5]),  # diagonal entries + force streaming
+        )
         outcome = pm_nlj_join(matrix, pool, r, r, counting_joiner)
         # Diagonal partners are served from the streamed page itself.
         assert outcome.pages_reused == 5
@@ -92,9 +89,8 @@ class TestExampleOne:
         r = VectorPagedDataset(np.zeros((8, 2)), objects_per_page=2, dataset_id="R")
         s = VectorPagedDataset(np.zeros((8, 2)), objects_per_page=2, dataset_id="S")
         pool = BufferPool(disk, capacity=2)  # too small to pin either side
-        matrix = PredictionMatrix(4, 4)
         # 2 marked rows, 3 marked cols, 5 entries.
-        for row, col in [(0, 0), (0, 2), (0, 3), (1, 1), (1, 2)]:
-            matrix.mark(row, col)
+        entries = [(0, 0), (0, 2), (0, 3), (1, 1), (1, 2)]
+        matrix = PredictionMatrix.from_coo(4, 4, *np.array(entries).T)
         pm_nlj_join(matrix, pool, r, s, counting_joiner)
         assert disk.stats.transfers == 5 + 2

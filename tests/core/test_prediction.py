@@ -6,24 +6,33 @@ import pytest
 from repro.core.prediction import CSRWorkMatrix, PredictionMatrix
 
 
+def marked(num_rows, num_cols, entries):
+    """A matrix marking ``entries``, a non-empty list of ``(row, col)``."""
+    return PredictionMatrix.from_coo(num_rows, num_cols, *np.array(entries).T)
+
+
+def one(row, col):
+    """A single entry as a ``(rows, cols)`` batch."""
+    return np.array([row]), np.array([col])
+
+
 class TestMarking:
     def test_mark_and_query(self):
         m = PredictionMatrix(4, 5)
-        m.mark(1, 2)
+        m.mark_many(*one(1, 2))
         assert m.is_marked(1, 2)
         assert not m.is_marked(2, 1)
         assert m.num_marked == 1
 
     def test_mark_idempotent(self):
         m = PredictionMatrix(4, 5)
-        m.mark(1, 2)
-        m.mark(1, 2)
+        m.mark_many(*one(1, 2))
+        m.mark_many(np.array([1, 1]), np.array([2, 2]))
         assert m.num_marked == 1
 
     def test_unmark(self):
-        m = PredictionMatrix(4, 5)
-        m.mark(1, 2)
-        m.unmark(1, 2)
+        m = marked(4, 5, [(1, 2)])
+        m.unmark_many(*one(1, 2))
         assert m.num_marked == 0
         assert not m.is_marked(1, 2)
         assert m.marked_rows() == []
@@ -32,14 +41,24 @@ class TestMarking:
     def test_unmark_missing_raises(self):
         m = PredictionMatrix(4, 5)
         with pytest.raises(KeyError):
-            m.unmark(0, 0)
+            m.unmark_many(*one(0, 0))
 
     def test_bounds_checked(self):
         m = PredictionMatrix(4, 5)
         with pytest.raises(IndexError):
-            m.mark(4, 0)
+            m.mark_many(*one(4, 0))
+        with pytest.raises(IndexError):
+            m.mark_many(*one(-1, 0))
         with pytest.raises(IndexError):
             m.is_marked(0, 5)
+
+    def test_rejects_non_integer_coordinates(self):
+        with pytest.raises(ValueError, match="integers"):
+            PredictionMatrix.from_coo(4, 5, np.array([0.5]), np.array([1.0]))
+        with pytest.raises(ValueError, match="integers"):
+            PredictionMatrix.from_coo(4, 5, np.array([True]), np.array([1]))
+        with pytest.raises(ValueError, match="1-d"):
+            PredictionMatrix.from_coo(4, 5, np.zeros((1, 1), int), np.zeros((1, 1), int))
 
     def test_rejects_empty_dimensions(self):
         with pytest.raises(ValueError):
@@ -49,10 +68,7 @@ class TestMarking:
 class TestViews:
     @pytest.fixture
     def matrix(self):
-        m = PredictionMatrix(6, 6)
-        for row, col in [(0, 1), (0, 3), (2, 1), (5, 5)]:
-            m.mark(row, col)
-        return m
+        return marked(6, 6, [(0, 1), (0, 3), (2, 1), (5, 5)])
 
     def test_rows_and_cols_sorted(self, matrix):
         assert matrix.marked_rows() == [0, 2, 5]
@@ -80,29 +96,24 @@ class TestViews:
 
 class TestCopyAndTriangle:
     def test_copy_is_independent(self):
-        m = PredictionMatrix(3, 3)
-        m.mark(0, 0)
+        m = marked(3, 3, [(0, 0)])
         dup = m.copy()
-        dup.mark(1, 1)
+        dup.mark_many(*one(1, 1))
         assert m.num_marked == 1
         assert dup.num_marked == 2
-        dup.unmark(0, 0)
+        dup.unmark_many(*one(0, 0))
         assert m.is_marked(0, 0)
 
     def test_equality(self):
-        a = PredictionMatrix(3, 3)
-        b = PredictionMatrix(3, 3)
-        a.mark(0, 1)
-        b.mark(0, 1)
+        a = marked(3, 3, [(0, 1)])
+        b = marked(3, 3, [(0, 1)])
         assert a == b
-        b.mark(1, 1)
+        b.mark_many(*one(1, 1))
         assert a != b
+        assert marked(3, 4, [(0, 1)]) != a
 
     def test_keep_upper_triangle(self):
-        m = PredictionMatrix(4, 4)
-        for row in range(4):
-            for col in range(4):
-                m.mark(row, col)
+        m = PredictionMatrix.from_coo(4, 4, *np.nonzero(np.ones((4, 4), bool)))
         m.keep_upper_triangle()
         assert m.num_marked == 10  # 4 diagonal + 6 upper
         for row, col in m.entries():
@@ -110,74 +121,45 @@ class TestCopyAndTriangle:
 
 
 class TestMarkedSetCaching:
-    """marked_rows()/marked_cols() cache until the marked set changes."""
-
-    def test_cache_reused_between_calls(self):
-        m = PredictionMatrix(5, 5)
-        m.mark(3, 1)
-        m.mark(0, 4)
-        assert m.marked_rows() is m.marked_rows()
-        assert m.marked_cols() is m.marked_cols()
-
-    def test_mark_invalidates_only_on_new_row_or_col(self):
-        m = PredictionMatrix(5, 5)
-        m.mark(2, 2)
-        rows, cols = m.marked_rows(), m.marked_cols()
-        m.mark(2, 2)  # idempotent re-mark: nothing changes
-        assert m.marked_rows() is rows
-        m.mark(2, 3)  # same row, new column
-        assert m.marked_rows() is rows
-        assert m.marked_cols() == [2, 3]
-        m.mark(4, 3)  # new row, existing column
-        assert m.marked_rows() == [2, 4]
+    """Queries read an index built on first use; every mutation drops it."""
 
     def test_unmark_invalidates_when_set_shrinks(self):
-        m = PredictionMatrix(5, 5)
-        m.mark(1, 1)
-        m.mark(1, 2)
-        m.mark(3, 2)
+        m = marked(5, 5, [(1, 1), (1, 2), (3, 2)])
         assert m.marked_rows() == [1, 3]
-        m.unmark(1, 1)  # row 1 still has (1, 2); col 1 disappears
+        m.unmark_many(*one(1, 1))  # row 1 still has (1, 2); col 1 disappears
         assert m.marked_rows() == [1, 3]
         assert m.marked_cols() == [2]
-        m.unmark(1, 2)
+        m.unmark_many(*one(1, 2))
         assert m.marked_rows() == [3]
 
     def test_keep_upper_triangle_refreshes_caches(self):
-        m = PredictionMatrix(4, 4)
-        for row in range(4):
-            for col in range(4):
-                m.mark(row, col)
+        m = PredictionMatrix.from_coo(4, 4, *np.nonzero(np.ones((4, 4), bool)))
         m.marked_rows(), m.marked_cols()
         m.keep_upper_triangle()
         assert m.marked_rows() == [0, 1, 2, 3]
-        m2 = PredictionMatrix(3, 3)
-        m2.mark(2, 0)
+        assert m.col_rows(0) == [0]
+        m2 = marked(3, 3, [(2, 0)])
         m2.marked_rows()
         m2.keep_upper_triangle()
         assert m2.marked_rows() == []
         assert m2.marked_cols() == []
 
     def test_copy_does_not_share_cache(self):
-        m = PredictionMatrix(4, 4)
-        m.mark(1, 1)
-        cached = m.marked_rows()
+        m = marked(4, 4, [(1, 1)])
+        assert m.marked_rows() == [1]
         dup = m.copy()
-        dup.mark(2, 2)
-        assert m.marked_rows() is cached
+        dup.mark_many(*one(2, 2))
+        assert m.marked_rows() == [1]
         assert dup.marked_rows() == [1, 2]
 
     def test_mark_many_invalidates_on_new_rows_and_cols(self):
         m = PredictionMatrix(8, 8)
         m.mark_many(np.asarray([1, 3]), np.asarray([2, 2]))
-        rows, cols = m.marked_rows(), m.marked_cols()
-        assert rows == [1, 3] and cols == [2]
-        # Re-marking existing entries must not rebuild the views ...
+        assert m.marked_rows() == [1, 3] and m.marked_cols() == [2]
         m.mark_many(np.asarray([1, 3]), np.asarray([2, 2]))
-        assert m.marked_rows() is rows
-        assert m.marked_cols() is cols
-        # ... but a batch introducing a new row AND a new column must
-        # invalidate both, even when it also repeats old entries.
+        assert m.marked_rows() == [1, 3] and m.marked_cols() == [2]
+        # A batch introducing a new row AND a new column refreshes both,
+        # even when it also repeats old entries.
         m.mark_many(np.asarray([1, 5, 3]), np.asarray([2, 2, 6]))
         assert m.marked_rows() == [1, 3, 5]
         assert m.marked_cols() == [2, 6]
@@ -186,7 +168,7 @@ class TestMarkedSetCaching:
         m = PredictionMatrix(6, 6)
         m.mark_many(np.asarray([0, 0, 4]), np.asarray([1, 5, 1]))
         m.marked_rows(), m.marked_cols()
-        m.unmark(4, 1)
+        m.unmark_many(*one(4, 1))
         assert m.marked_rows() == [0]
         assert m.marked_cols() == [1, 5]
         m.mark_many(np.asarray([4]), np.asarray([1]))
@@ -197,9 +179,7 @@ class TestMarkedSetCaching:
 class TestCSRWorkMatrix:
     @pytest.fixture
     def work(self):
-        m = PredictionMatrix(4, 5)
-        for row, col in [(0, 1), (0, 3), (1, 0), (2, 1), (2, 4), (3, 3)]:
-            m.mark(row, col)
+        m = marked(4, 5, [(0, 1), (0, 3), (1, 0), (2, 1), (2, 4), (3, 3)])
         return m.csr_view()
 
     def test_dual_views_agree(self, work):
@@ -224,9 +204,7 @@ class TestCSRWorkMatrix:
         assert work.live_entry_ids().size == work.num_marked == 3
 
     def test_view_is_independent_of_matrix(self):
-        m = PredictionMatrix(3, 3)
-        m.mark(0, 0)
-        m.mark(2, 2)
+        m = marked(3, 3, [(0, 0), (2, 2)])
         work = m.csr_view()
         work.kill(work.live_entry_ids())
         assert work.num_marked == 0
@@ -242,8 +220,8 @@ class TestCSRWorkMatrix:
 
 
 class TestUnmarkMany:
-    """Vectorized batch unmarking: one validation pass, one cache
-    invalidation per side, all-or-nothing on bad batches."""
+    """Vectorized batch unmarking: one validation pass, all-or-nothing
+    on bad batches."""
 
     def _matrix(self):
         m = PredictionMatrix(6, 6)
@@ -257,7 +235,7 @@ class TestUnmarkMany:
         batch, singles = self._matrix(), self._matrix()
         batch.unmark_many(np.asarray([0, 2, 4]), np.asarray([5, 1, 1]))
         for row, col in [(0, 5), (2, 1), (4, 1)]:
-            singles.unmark(row, col)
+            singles.unmark_many(*one(row, col))
         assert batch == singles
         assert batch.num_marked == 4
 
@@ -273,17 +251,6 @@ class TestUnmarkMany:
         m = self._matrix()
         m.unmark_many(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         assert m.num_marked == 7
-
-    def test_caches_invalidated_once(self):
-        m = self._matrix()
-        rows, cols = m.marked_rows(), m.marked_cols()
-        # (2, 4) removes col 4; row 2 keeps (2, 1) so rows cache is reused.
-        m.unmark_many(np.asarray([2]), np.asarray([4]))
-        assert m.marked_rows() is rows
-        assert m.marked_cols() == [0, 1, 5]
-        # Dropping the last entry of row 5 invalidates the rows cache.
-        m.unmark_many(np.asarray([5]), np.asarray([5]))
-        assert m.marked_rows() == [0, 1, 2, 4]
 
     def test_shape_mismatch_rejected(self):
         m = self._matrix()

@@ -8,13 +8,10 @@ from repro.core.square import square_clustering
 
 
 def random_matrix(rng, rows=30, cols=30, density=0.1):
-    m = PredictionMatrix(rows, cols)
     mask = rng.random((rows, cols)) < density
-    for r, c in zip(*np.nonzero(mask)):
-        m.mark(int(r), int(c))
-    if m.num_marked == 0:
-        m.mark(0, 0)
-    return m
+    if not mask.any():
+        mask[0, 0] = True
+    return PredictionMatrix.from_coo(rows, cols, *np.nonzero(mask))
 
 
 class TestPartitionProperties:
@@ -49,10 +46,7 @@ class TestPartitionProperties:
 class TestShape:
     def test_dense_matrix_yields_square_clusters(self):
         """On a fully dense region, SC should produce r = c = B/2 clusters."""
-        matrix = PredictionMatrix(10, 10)
-        for r in range(10):
-            for c in range(10):
-                matrix.mark(r, c)
+        matrix = PredictionMatrix.from_coo(10, 10, *np.nonzero(np.ones((10, 10), bool)))
         clusters, _ = square_clustering(matrix, buffer_pages=10)
         # The first (non-boundary) clusters are 5x5.
         big = [c for c in clusters if c.num_entries == 25]
@@ -62,18 +56,14 @@ class TestShape:
             assert len(cluster.cols) == 5
 
     def test_single_row_matrix(self):
-        matrix = PredictionMatrix(1, 40)
-        for c in range(40):
-            matrix.mark(0, c)
+        matrix = PredictionMatrix.from_coo(1, 40, np.zeros(40, int), np.arange(40))
         clusters, _ = square_clustering(matrix, buffer_pages=6)
         for cluster in clusters:
             assert len(cluster.rows) == 1
             assert cluster.num_pages <= 6
 
     def test_single_column_matrix(self):
-        matrix = PredictionMatrix(40, 1)
-        for r in range(40):
-            matrix.mark(r, 0)
+        matrix = PredictionMatrix.from_coo(40, 1, np.arange(40), np.zeros(40, int))
         clusters, _ = square_clustering(matrix, buffer_pages=6)
         seen = sorted(e for c in clusters for e in c.entries)
         assert seen == [(r, 0) for r in range(40)]
@@ -102,16 +92,13 @@ class TestEdgeCases:
         assert stats.clusters_built == 0
 
     def test_single_entry(self):
-        matrix = PredictionMatrix(5, 5)
-        matrix.mark(3, 3)
+        matrix = PredictionMatrix.from_coo(5, 5, np.array([3]), np.array([3]))
         clusters, _ = square_clustering(matrix, buffer_pages=4)
         assert len(clusters) == 1
         assert clusters[0].entries == ((3, 3),)
 
     def test_minimum_buffer_two(self):
-        matrix = PredictionMatrix(3, 3)
-        for k in range(3):
-            matrix.mark(k, k)
+        matrix = PredictionMatrix.from_coo(3, 3, np.arange(3), np.arange(3))
         clusters, _ = square_clustering(matrix, buffer_pages=2)
         assert sum(c.num_entries for c in clusters) == 3
         for cluster in clusters:

@@ -35,7 +35,7 @@ class TestLossyPredictorIsObservable:
                 productive = (row, col)
                 break
         assert productive is not None
-        matrix.unmark(*productive)
+        matrix.unmark_many(*np.array([productive]).T)
 
         disk = SimulatedDisk()
         pool = BufferPool(disk, 8)
@@ -89,7 +89,7 @@ class TestResourceViolationsRaise:
     def test_matrix_bounds_violation_raises(self):
         matrix = PredictionMatrix(4, 4)
         with pytest.raises(IndexError):
-            matrix.mark(4, 0)
+            matrix.mark_many(np.array([4]), np.array([0]))
 
     def test_buffer_never_exceeds_capacity_under_load(self, vector_pair):
         """Even under adversarial access patterns, the frame count is bounded."""

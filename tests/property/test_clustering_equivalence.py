@@ -2,7 +2,7 @@
 
 The production implementations of SC, CC and the sharing-graph
 scheduler must be *bit-identical* to the reference implementations in
-:mod:`repro.core.clusters_reference`: same cluster assignments in the
+`tests/oracles/clusters_reference.py`: same cluster assignments in the
 same growth order, same stats counters, same sharing-graph weights and
 same greedy schedules — on random matrices of varying shape, density,
 buffer size and aspect ratio, on large buffers whose clusters hold
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.clusters import Cluster
-from repro.core.clusters_reference import (
+from tests.oracles.clusters_reference import (
     cost_clustering_reference,
     greedy_cluster_order_reference,
     sharing_graph_reference,

@@ -45,7 +45,6 @@ def rects(draw, dim=2):
 def sparse_matrices(draw):
     rows = draw(st.integers(min_value=1, max_value=20))
     cols = draw(st.integers(min_value=1, max_value=20))
-    matrix = PredictionMatrix(rows, cols)
     entries = draw(
         st.sets(
             st.tuples(
@@ -56,9 +55,7 @@ def sparse_matrices(draw):
             max_size=60,
         )
     )
-    for r, c in entries:
-        matrix.mark(r, c)
-    return matrix
+    return PredictionMatrix.from_coo(rows, cols, *np.array(list(entries)).T)
 
 
 # -- distance lower bounds -----------------------------------------------------

@@ -25,7 +25,6 @@ from repro.storage.page import SequencePagedDataset, VectorPagedDataset
 def matrices_with_buffer(draw):
     rows = draw(st.integers(min_value=1, max_value=12))
     cols = draw(st.integers(min_value=1, max_value=12))
-    matrix = PredictionMatrix(rows, cols)
     entries = draw(
         st.sets(
             st.tuples(
@@ -36,8 +35,7 @@ def matrices_with_buffer(draw):
             max_size=40,
         )
     )
-    for r, c in entries:
-        matrix.mark(r, c)
+    matrix = PredictionMatrix.from_coo(rows, cols, *np.array(list(entries)).T)
     buffer_pages = draw(st.integers(min_value=2, max_value=30))
     return matrix, buffer_pages
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.join import IndexedDataset
 from repro.core.sweep import SweepStats, block_sweep_pairs, build_prediction_matrix
-from repro.core.sweep_reference import build_prediction_matrix_reference
+from tests.oracles.sweep_reference import build_prediction_matrix_reference
 from repro.geometry import BoxArray, Rect
 
 

@@ -1,7 +1,9 @@
 """The public API surface: exports, errors, doctests."""
 
+import ast
 import doctest
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,37 @@ class TestDoctests:
         result = doctest.testmod(mod, verbose=False)
         assert result.failed == 0
         assert result.attempted > 0  # the module advertises examples
+
+
+class TestLayout:
+    """Test-only code (the frozen reference oracles) stays out of the package."""
+
+    def test_package_never_imports_tests(self):
+        import repro
+
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(root)}: {name}"
+                    for name in names
+                    if name == "tests" or name.startswith("tests.")
+                ]
+        assert offenders == []
+
+    @pytest.mark.parametrize(
+        "module", ["repro.core.sweep_reference", "repro.core.clusters_reference"]
+    )
+    def test_oracles_are_not_in_the_package(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
 
 class TestExperimentsCli:
